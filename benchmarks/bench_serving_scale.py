@@ -1,17 +1,17 @@
 """Serving-scale benchmark: end-to-end queries/sec on million-query runs.
 
 Measures the full serving pipeline -- arrival generation, column-backed
-query construction, admission-free batching, the compiled event-loop
-kernels and report summarisation -- at 100k and 1M queries per run
-(interpolating service model, warm service cache) for every available
-event-kernel flavor, against the pre-PR baseline: materialised
-``ServingQuery`` objects driven through the legacy heap-based event
-loop (``force_flavor("disabled")``).
+query construction, admission-free batching, the event loop and report
+summarisation -- at 100k and 1M queries per run (interpolating service
+model, warm service cache) under the ambient kernel flavor (the jitted
+event-loop kernels with numba, the legacy ``heapq`` loops without),
+against the pre-PR baseline: materialised ``ServingQuery`` objects
+driven through the legacy heap-based event loop
+(``force_flavor("disabled")``).
 
-All timed runs stream queries through ``simulate(stream_chunk=...)`` so
-memory stays O(chunk); the reports are asserted byte-identical across
-every flavor, against the legacy object path, and against a one-shot
-materialised run.  Recorded throughput floors live in the
+The streamed-columns runs go through ``simulate(stream_chunk=...)`` so
+memory stays O(chunk); their reports are asserted byte-identical to the
+legacy object path and to a one-shot materialised run.  Recorded throughput floors live in the
 ``serving_scale`` block of ``perf_reference.json`` next to the exact-sim
 floors and are enforced with the same loose ``REGRESSION_FLOOR``
 mechanism (refresh with ``REPRO_PERF_WRITE_REFERENCE=1``).
@@ -75,9 +75,8 @@ NODE_SYSTEM = "recnmp-opt"
 ENGINE = "event"
 
 #: Full-mode speedup targets at the largest size, streamed columns vs
-#: the legacy object path.  The interpreted twins already clear 1.5x;
-#: the jitted kernels must clear 5x (asserted only when numba is the
-#: active flavor).
+#: the legacy object path.  The columns representation alone must clear
+#: 1.5x; with the jitted kernels (numba the active flavor) 5x.
 TWIN_SPEEDUP_TARGET = 1.5
 NUMBA_SPEEDUP_TARGET = 5.0
 
@@ -94,13 +93,6 @@ def _arrivals():
     return PoissonArrivalProcess(rate_qps=OFFERED_QPS, seed=1)
 
 
-def _flavors():
-    flavors = ["python", "flat-python"]
-    if KERNEL_FLAVOR == "numba":
-        flavors.append("numba")
-    return flavors
-
-
 def compute_serving_scale():
     traces = make_production_table_traces(
         num_lookups_per_table=QUERY_BATCH * QUERY_POOLING * 8,
@@ -108,25 +100,23 @@ def compute_serving_scale():
     model = InterpolatingServiceModel(traces)
     frontend = BatchingFrontend(max_queries=8, max_delay_us=100.0)
     report = {"engine": ENGINE, "stream_chunk": STREAM_CHUNK,
-              "flavors": _flavors(), "sizes": {}}
+              "kernel_flavor": KERNEL_FLAVOR, "sizes": {}}
     with ShardedServingCluster(
             num_nodes=NUM_NODES, node_system=NODE_SYSTEM,
             num_frontends=NUM_FRONTENDS, address_of=address_of,
             vector_size_bytes=VECTOR_BYTES) as cluster:
 
-        def stream_run(num_queries, flavor):
+        def stream_run(num_queries):
             """One timed end-to-end run: generation included."""
-            with force_flavor(flavor):
-                start = time.perf_counter()
-                stream = QueryStream(traces, _arrivals(),
-                                     num_queries=num_queries,
-                                     batch_size=QUERY_BATCH,
-                                     pooling_factor=QUERY_POOLING)
-                result = cluster.simulate(
-                    stream, frontend=frontend, engine=ENGINE,
-                    service_model=model, stream_chunk=STREAM_CHUNK)
-                seconds = time.perf_counter() - start
-            return result, seconds
+            start = time.perf_counter()
+            stream = QueryStream(traces, _arrivals(),
+                                 num_queries=num_queries,
+                                 batch_size=QUERY_BATCH,
+                                 pooling_factor=QUERY_POOLING)
+            result = cluster.simulate(
+                stream, frontend=frontend, engine=ENGINE,
+                service_model=model, stream_chunk=STREAM_CHUNK)
+            return result, time.perf_counter() - start
 
         def legacy_run(num_queries):
             """Pre-PR baseline: object queries, heap event loop."""
@@ -144,7 +134,7 @@ def compute_serving_scale():
         # Warm the interpolation grid and the content-keyed service
         # cache so every timed run sees the same steady state (the
         # cycled request pool bounds the distinct batch compositions).
-        stream_run(min(SIZES), "flat-python")
+        stream_run(min(SIZES))
 
         for num_queries in SIZES:
             entry = {"num_queries": num_queries, "runs": {}}
@@ -152,21 +142,19 @@ def compute_serving_scale():
             entry["runs"]["legacy-objects"] = {
                 "seconds": round(seconds, 4),
                 "queries_per_sec": round(num_queries / seconds, 1)}
-            baseline = dataclasses.asdict(baseline_report)
-            for flavor in _flavors():
-                flavor_report, seconds = stream_run(num_queries, flavor)
-                entry["runs"][flavor] = {
-                    "seconds": round(seconds, 4),
-                    "queries_per_sec": round(num_queries / seconds, 1)}
-                assert dataclasses.asdict(flavor_report) == baseline, \
-                    "streamed %s report diverged from the legacy object " \
-                    "path at %d queries" % (flavor, num_queries)
-            legacy_rate = \
-                entry["runs"]["legacy-objects"]["queries_per_sec"]
-            for flavor in _flavors():
-                entry["runs"][flavor]["speedup_vs_legacy"] = round(
-                    entry["runs"][flavor]["queries_per_sec"]
-                    / legacy_rate, 2)
+            columns_report, seconds = stream_run(num_queries)
+            columns_rate = num_queries / seconds
+            entry["runs"]["columns"] = {
+                "seconds": round(seconds, 4),
+                "queries_per_sec": round(columns_rate, 1),
+                "speedup_vs_legacy": round(
+                    columns_rate
+                    / entry["runs"]["legacy-objects"]["queries_per_sec"],
+                    2)}
+            assert dataclasses.asdict(columns_report) \
+                == dataclasses.asdict(baseline_report), \
+                "streamed columns report diverged from the legacy " \
+                "object path at %d queries" % num_queries
             report["sizes"][str(num_queries)] = entry
 
         # Chunked streaming is byte-identical to a one-shot materialised
@@ -177,7 +165,7 @@ def compute_serving_scale():
             batch_size=QUERY_BATCH, pooling_factor=QUERY_POOLING)
         oneshot = cluster.simulate(columns, frontend=frontend,
                                    engine=ENGINE, service_model=model)
-        chunked, _ = stream_run(num_queries, "flat-python")
+        chunked, _ = stream_run(num_queries)
         assert dataclasses.asdict(oneshot) == dataclasses.asdict(chunked), \
             "one-shot columns run diverged from the chunked stream"
 
@@ -185,20 +173,17 @@ def compute_serving_scale():
         # report, and its trace must validate against the checked-in
         # schema.  The enabled/disabled wall-clock pair is reported so
         # the cost of turning tracing on stays visible in CI logs.
-        plain_report, plain_seconds = stream_run(num_queries,
-                                                 "flat-python")
+        plain_report, plain_seconds = stream_run(num_queries)
         tracer = Tracer(label="bench-serving-scale")
-        with force_flavor("flat-python"):
-            start = time.perf_counter()
-            stream = QueryStream(traces, _arrivals(),
-                                 num_queries=num_queries,
-                                 batch_size=QUERY_BATCH,
-                                 pooling_factor=QUERY_POOLING)
-            traced_report = cluster.simulate(
-                stream, frontend=frontend, engine=ENGINE,
-                service_model=model, stream_chunk=STREAM_CHUNK,
-                trace=tracer, metrics=True)
-            traced_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        stream = QueryStream(traces, _arrivals(), num_queries=num_queries,
+                             batch_size=QUERY_BATCH,
+                             pooling_factor=QUERY_POOLING)
+        traced_report = cluster.simulate(
+            stream, frontend=frontend, engine=ENGINE,
+            service_model=model, stream_chunk=STREAM_CHUNK,
+            trace=tracer, metrics=True)
+        traced_seconds = time.perf_counter() - start
         assert dataclasses.asdict(traced_report) \
             == dataclasses.asdict(plain_report), \
             "enabling trace+metrics changed the serving report"
@@ -260,18 +245,13 @@ def bench_serving_scale(benchmark):
     largest = report["sizes"][str(max(SIZES))]
     if not SMOKE_MODE:
         # Headline PR targets at the million-query size.
-        for flavor in ("python", "flat-python"):
-            speedup = largest["runs"][flavor]["speedup_vs_legacy"]
-            assert speedup >= TWIN_SPEEDUP_TARGET, \
-                "%s twin %.2fx vs the legacy object path at %d queries " \
-                "is below the %.1fx target" \
-                % (flavor, speedup, max(SIZES), TWIN_SPEEDUP_TARGET)
-        if "numba" in largest["runs"]:
-            speedup = largest["runs"]["numba"]["speedup_vs_legacy"]
-            assert speedup >= NUMBA_SPEEDUP_TARGET, \
-                "numba kernels %.2fx vs the legacy object path at %d " \
-                "queries is below the %.1fx target" \
-                % (speedup, max(SIZES), NUMBA_SPEEDUP_TARGET)
+        target = NUMBA_SPEEDUP_TARGET if KERNEL_FLAVOR == "numba" \
+            else TWIN_SPEEDUP_TARGET
+        speedup = largest["runs"]["columns"]["speedup_vs_legacy"]
+        assert speedup >= target, \
+            "streamed columns (%s flavor) %.2fx vs the legacy object " \
+            "path at %d queries is below the %.1fx target" \
+            % (KERNEL_FLAVOR, speedup, max(SIZES), target)
 
     obs = report.get("obs")
     if obs:
@@ -299,7 +279,7 @@ def bench_serving_scale(benchmark):
                     "REPRO_PERF_WRITE_REFERENCE=1 if this host is " \
                     "legitimately slower)" \
                     % (name, size, REGRESSION_FLOOR, pinned[name])
-        # Disabled-mode obs floor: the timed flavor runs above executed
+        # Disabled-mode obs floor: the timed runs above executed
         # with trace/metrics off, so shipping repro.obs may not cost
         # more than the recorded allowance against the pre-obs floors.
         # Full mode only: smoke runs are far too short to resolve 2%.

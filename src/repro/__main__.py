@@ -45,6 +45,9 @@ Subcommands
     m.json`` dumps the cluster's metrics-registry snapshot; for serve
     the workload locality flag is spelled ``--workload-trace``
     (``run``/``profile`` keep ``--trace synthetic|production``).
+    Non-finite or out-of-range values of the float flags are usage
+    errors (exit code 2), and ``--json`` emits strict JSON: the infinite
+    wait and tail of an overloaded analytic run appear as ``null``.
 
 ``report``
     Pretty-print a metrics snapshot written by ``serve
@@ -81,6 +84,7 @@ import argparse
 import cProfile
 import io
 import json
+import math
 import pstats
 import sys
 
@@ -209,6 +213,48 @@ def cmd_run(args):
           % (cache_stats["entries"], cache_stats["hits"],
              cache_stats["misses"]))
     return 0
+
+
+def _float_arg(description, accept=lambda value: True):
+    """argparse ``type=`` for a finite float for which ``accept`` holds.
+
+    NaN, infinities and out-of-range values become argparse usage errors
+    (exit code 2) instead of silently propagating into the simulation
+    (``--qps nan`` used to "succeed" with NaN percentiles) or surfacing
+    as a ``ValueError`` traceback from deep inside the library.
+    """
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(
+                "expected %s, got %r" % (description, text))
+        return value
+    return parse
+
+
+_FINITE = _float_arg("a finite number")
+_POSITIVE = _float_arg("a finite number > 0", lambda value: value > 0)
+_NON_NEGATIVE = _float_arg("a finite number >= 0", lambda value: value >= 0)
+_FRACTION = _float_arg("a number in (0, 1]", lambda value: 0 < value <= 1)
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by ``None``.
+
+    An overloaded analytic run legitimately reports an infinite mean wait
+    and tail; JSON has no spelling for that, so it is emitted as ``null``
+    rather than the invalid ``Infinity`` / ``NaN`` tokens.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
 
 
 def _build_arrivals(args):
@@ -351,7 +397,8 @@ def cmd_serve(args):
             payload["trace_path"] = args.trace
         if args.metrics_json is not None:
             payload["metrics_path"] = args.metrics_json
-        json.dump(payload, sys.stdout, indent=2)
+        json.dump(_json_safe(payload), sys.stdout, indent=2,
+                  allow_nan=False)
         print()
         return 0
     print("%s serving %d queries at %.0f QPS offered (%s arrivals)" %
@@ -603,10 +650,10 @@ def build_parser():
                             "as JSON to PATH (render with 'python -m "
                             "repro report PATH')")
     serve.add_argument("--nodes", type=int, default=2)
-    serve.add_argument("--qps", type=float, default=50_000.0)
+    serve.add_argument("--qps", type=_POSITIVE, default=50_000.0)
     serve.add_argument("--queries", type=int, default=64)
     serve.add_argument("--max-batch", type=int, default=8)
-    serve.add_argument("--max-delay-us", type=float, default=200.0)
+    serve.add_argument("--max-delay-us", type=_NON_NEGATIVE, default=200.0)
     serve.add_argument("--arrival", choices=("poisson", "mmpp", "trace"),
                        default="poisson",
                        help="traffic model: memoryless Poisson, bursty "
@@ -618,7 +665,7 @@ def build_parser():
                        help="queueing model: closed-form M/G/c, "
                             "event-driven FIFO dispatch simulation, or "
                             "event-driven earliest-deadline-first")
-    serve.add_argument("--slo-us", type=float, default=None,
+    serve.add_argument("--slo-us", type=_FINITE, default=None,
                        help="per-query completion deadline in "
                             "microseconds; reports SLO attainment and "
                             "goodput alongside the percentiles")
@@ -629,7 +676,7 @@ def build_parser():
                        help="admission controller in front of the "
                             "batcher (deadline-aware shedding needs "
                             "--slo-us)")
-    serve.add_argument("--request-overhead", type=float, default=None,
+    serve.add_argument("--request-overhead", type=_FINITE, default=None,
                        help="per-request dispatch cost in "
                             "lookup-equivalents for load-aware "
                             "placement/routing (default: calibrated "
@@ -651,7 +698,7 @@ def build_parser():
                        help="max replicas per hot table (>1 replicates "
                             "hot tables across nodes and routes to the "
                             "least-loaded replica)")
-    serve.add_argument("--hot-fraction", type=float, default=0.1,
+    serve.add_argument("--hot-fraction", type=_FRACTION, default=0.1,
                        help="load share above which a table counts as hot "
                             "and is replicated")
     serve.add_argument("--service-model", choices=("exact", "interp"),

@@ -164,8 +164,8 @@ class NMPMemoryController:
         use_packed = getattr(channel, "supports_packed", False)
         # Tiny packets stay on the object path: the numpy packing and
         # kernel-call fixed costs only pay for themselves past a
-        # flavour-dependent packet size (both paths are bit-identical,
-        # so mixing them within one dispatch is safe).
+        # minimum packet size (both paths are bit-identical, so mixing
+        # them within one dispatch is safe).
         packed_min = _kernels.packed_dispatch_min_instructions() \
             if use_packed else 0
         for packet in order:

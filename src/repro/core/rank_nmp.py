@@ -110,8 +110,8 @@ class RankNMP:
         # Partial-sum register file: PsumTag -> accumulated vector count.
         self._psum_counts = {}
         self.current_cycle = 0
-        # Compiled (or pure-python) command-issue kernel; None when
-        # REPRO_DISABLE_KERNELS is set, in which case the object-based
+        # Compiled command-issue kernel; None without numba or with
+        # REPRO_DISABLE_KERNELS set, in which case the object-based
         # methods below run as-is (they remain the readable spec the
         # kernel is tested against).  Streams shorter than the cutover
         # take the legacy path even with a kernel bound: the kernel's

@@ -62,6 +62,21 @@ class TestServe:
         assert payload["extras"]["engine"] == "analytic"
         assert "slo" not in payload["extras"]
 
+    def test_serve_overload_json_is_strict_json(self, capsys):
+        # An overloaded analytic run has an infinite mean wait and tail:
+        # the payload must still be valid JSON (no Infinity/NaN tokens).
+        def reject(token):
+            raise ValueError("non-JSON constant %s" % token)
+
+        assert main(SERVE_ARGS + ["--nodes", "1", "--queries", "200",
+                                  "--qps", "5e7", "--max-batch", "1",
+                                  "--max-delay-us", "0",
+                                  "--no-service-store", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=reject)
+        assert payload["stable"] is False
+        assert payload["p99_us"] is None
+
     def test_serve_slo_admission_mmpp(self, capsys):
         payload = run_json(
             SERVE_ARGS + ["--engine", "event", "--arrival", "mmpp",
@@ -206,6 +221,18 @@ class TestParseErrors:
     def test_negative_request_overhead_rejected(self):
         with pytest.raises(SystemExit, match="non-negative"):
             main(SERVE_ARGS + ["--request-overhead", "-1"])
+
+    @pytest.mark.parametrize("flags", [
+        ["--qps", "nan"], ["--qps", "inf"], ["--qps", "-5"], ["--qps", "0"],
+        ["--max-delay-us", "-1"], ["--max-delay-us", "nan"],
+        ["--hot-fraction", "0"], ["--hot-fraction", "1.5"],
+        ["--slo-us", "nan"], ["--request-overhead", "inf"],
+    ])
+    def test_bad_float_flags_exit_with_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(SERVE_ARGS + flags)
+        assert excinfo.value.code == 2         # argparse usage error
+        assert flags[0] in capsys.readouterr().err
 
     def test_bad_choices_exit_with_usage_error(self, capsys):
         for flags in (["--arrival", "bursty"],

@@ -2,8 +2,7 @@
 
 The contract of :mod:`repro.core.kernels` is that every flavour --
 ``numba`` (jitted flat arrays), ``flat-python`` (the same flat-array
-source, un-jitted), ``python`` (the list-native CPython twin) and
-``disabled`` (the legacy object-path spec in
+source, un-jitted) and ``disabled`` (the legacy object-path spec in
 :class:`~repro.core.rank_nmp.RankNMP`) -- produces *identical* cycles,
 statistics, cache contents and bank state.  These tests pin that
 contract at two levels: randomized instruction streams on a single
@@ -11,7 +10,6 @@ rank-NMP (down to the per-bank timing state), and full-system runs over
 the RecNMP variant matrix of the paper.
 """
 
-import contextlib
 import os
 import subprocess
 import sys
@@ -35,10 +33,10 @@ FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
 
 NUM_ROWS = 6_000
 
-#: The non-numba flavours runnable on any host.  ``flat-python`` executes
+#: The kernel flavours runnable on any host.  ``flat-python`` executes
 #: the *numba kernel source* un-jitted, so the jitted flavour's semantics
 #: are pinned even where numba is not installed.
-PORTABLE_FLAVORS = ("python", "flat-python")
+PORTABLE_FLAVORS = ("flat-python",)
 
 
 def _random_instructions(rng, count, with_cache_traffic=True):
@@ -72,7 +70,7 @@ def _rank_snapshot(rank):
 
 class TestFlavorSelection:
     def test_active_flavor_known(self):
-        assert kernels.active_flavor() in ("numba", "python", "disabled")
+        assert kernels.active_flavor() in ("numba", "disabled")
 
     def test_describe_nonempty(self):
         assert kernels.describe()
@@ -81,6 +79,9 @@ class TestFlavorSelection:
         with pytest.raises(ValueError, match="unknown kernel flavor"):
             with kernels.force_flavor("cython"):
                 pass
+        # The hand-kept CPython twin flavor no longer exists.
+        with pytest.raises(ValueError, match="unknown kernel flavor"):
+            kernels.force_flavor("python")
 
     def test_force_numba_without_numba_raises(self):
         if kernels.KERNEL_FLAVOR == "numba":
@@ -98,37 +99,37 @@ class TestFlavorSelection:
     def test_force_flavor_restores_after_body_exception(self):
         before = kernels._FORCED_FLAVOR
         with pytest.raises(RuntimeError, match="boom"):
-            with kernels.force_flavor("python"):
-                assert kernels._FORCED_FLAVOR == "python"
+            with kernels.force_flavor("flat-python"):
+                assert kernels._FORCED_FLAVOR == "flat-python"
                 raise RuntimeError("boom")
         assert kernels._FORCED_FLAVOR == before
 
     def test_force_flavor_exit_without_enter_is_noop(self):
-        stray = kernels.force_flavor("python")
+        stray = kernels.force_flavor("flat-python")
         with kernels.force_flavor("disabled"):
             stray.__exit__(None, None, None)
             assert kernels._FORCED_FLAVOR == "disabled"
 
     def test_force_flavor_reentrant_same_instance(self):
         before = kernels._FORCED_FLAVOR
-        cm = kernels.force_flavor("python")
+        cm = kernels.force_flavor("flat-python")
         with cm:
             with cm:
-                assert kernels._FORCED_FLAVOR == "python"
-            assert kernels._FORCED_FLAVOR == "python"
+                assert kernels._FORCED_FLAVOR == "flat-python"
+            assert kernels._FORCED_FLAVOR == "flat-python"
         assert kernels._FORCED_FLAVOR == before
 
     def test_force_flavor_nested_distinct_instances(self):
         before = kernels._FORCED_FLAVOR
-        with kernels.force_flavor("python"):
+        with kernels.force_flavor("flat-python"):
             with kernels.force_flavor("disabled"):
                 assert kernels._FORCED_FLAVOR == "disabled"
-            assert kernels._FORCED_FLAVOR == "python"
+            assert kernels._FORCED_FLAVOR == "flat-python"
         assert kernels._FORCED_FLAVOR == before
 
 
 class TestRankTriParity:
-    """python / flat-python / disabled agree on randomized streams."""
+    """flat-python / disabled agree on randomized streams."""
 
     @pytest.mark.parametrize("use_cache", [True, False])
     @pytest.mark.parametrize("seed", range(4))
@@ -161,7 +162,6 @@ class TestRankTriParity:
                 completion2 = rank.execute_instruction(inst)
             results[flavor] = (completion, completion2,
                                _rank_snapshot(rank))
-        assert results["python"] == results["disabled"]
         assert results["flat-python"] == results["disabled"]
 
     def test_reset_clears_kernel_state(self):
@@ -301,8 +301,8 @@ sys.meta_path.insert(0, _Block())
 
     def test_import_without_numba(self):
         # Block numba at import time: the module must import cleanly and
-        # fall back to the pure-python flavour with identical results.
-        cycles = self._run_subprocess(self.BLOCK_NUMBA, "python")
+        # fall back to the legacy object path with identical results.
+        cycles = self._run_subprocess(self.BLOCK_NUMBA, "disabled")
         assert cycles == self._reference_cycles()
 
 
@@ -334,38 +334,48 @@ class TestPackedHelpers:
         assert order.tolist() == [0, 2, 1]
 
     def test_packed_dispatch_cutover_by_flavor(self):
-        # The jitted flavour amortises its call overhead on far smaller
-        # packets than the interpreted twins; disabled has no kernel to
-        # route to, so its cutover is irrelevant (0).
-        assert kernels.packed_dispatch_min_instructions("numba") < \
-            kernels.packed_dispatch_min_instructions("python")
-        assert kernels.packed_dispatch_min_instructions("flat-python") == \
-            kernels.packed_dispatch_min_instructions("python")
+        # Only the jitted flavour has a small-packet cutover; disabled
+        # has no kernel to route to, so its cutover is irrelevant (0).
+        assert kernels.packed_dispatch_min_instructions("numba") > 0
         assert kernels.packed_dispatch_min_instructions("disabled") == 0
         # Forcing a flavor disables the cutover: the forced kernel runs
         # on every stream (the parity tests above depend on this).
-        with kernels.force_flavor("python"):
+        with kernels.force_flavor("flat-python"):
             assert kernels.packed_dispatch_min_instructions() == 0
             assert RankNMP(RankNMPConfig())._kernel_min_instructions == 0
 
-    def test_small_packets_fall_back_bit_identically(self):
-        # Built under the ambient (un-forced) flavor, streams below the
-        # cutover take the legacy object path even with a kernel bound;
-        # the dispatch mix must not disturb the results.
-        if kernels.active_flavor() == "disabled":
-            pytest.skip("kernels globally disabled: no mixed dispatch")
-        requests = _requests_for("random", num_tables=2, batch=2,
-                                 pooling=6, seed=3)
+    def test_small_packets_fall_back_bit_identically(self, monkeypatch):
+        # With a kernel bound, streams below the numba cutover take the
+        # legacy object path and larger ones the kernel; the dispatch mix
+        # must not disturb the results.  The un-jitted kernel (the same
+        # source) stands in for numba so the mix runs on every host.
+        cutover = kernels.packed_dispatch_min_instructions("numba")
+        monkeypatch.setattr(kernels, "packed_dispatch_min_instructions",
+                            lambda flavor=None: cutover)
+        kernel_streams = []
+        execute_arrays = kernels.FlatRankKernel.execute_arrays
 
-        def run(forced):
-            context = kernels.force_flavor(forced) if forced else \
-                contextlib.nullcontext()
-            with context:
+        def counting_execute_arrays(self, daddrs, *args):
+            kernel_streams.append(len(daddrs))
+            return execute_arrays(self, daddrs, *args)
+
+        monkeypatch.setattr(kernels.FlatRankKernel, "execute_arrays",
+                            counting_execute_arrays)
+        requests = _requests_for("random", num_tables=2, batch=2,
+                                 pooling=6, seed=3) \
+            + _requests_for("random", num_tables=1, batch=3, pooling=18,
+                            seed=4)
+
+        def run(flavor):
+            with kernels.force_flavor(flavor):
                 with build_system("recnmp-opt", table_rows=NUM_ROWS,
                                   compare_baseline=False) as system:
                     return _system_fingerprint(system.run(requests))
 
-        assert run(None) == run("disabled")
+        assert run("flat-python") == run("disabled")
+        assert kernel_streams, "no stream reached the kernel"
+        assert sum(kernel_streams) < sum(len(r.indices) for r in requests), \
+            "no stream took the small-packet fallback"
 
     def test_packed_execution_rejected_without_kernel(self):
         from repro.core.instruction import PackedInstructions

@@ -7,7 +7,7 @@ loops they replace (the ``heapq`` loops in
 controller loop in :func:`repro.serving.admission.apply_admission`).
 These tests drive randomized workloads -- with ties, idle gaps,
 missing deadlines and every server count the engines use -- through
-every interpreted flavor against the legacy paths, pin the flavor
+every kernel flavor against the legacy paths, pin the flavor
 plumbing, and (mirroring ``tests/test_core_kernels.py``) prove in
 subprocesses that a host without numba, or with
 ``REPRO_DISABLE_KERNELS=1``, degrades to the same results.
@@ -39,10 +39,10 @@ from repro.serving.event_kernels import (
 )
 from repro.serving.events import simulate_batch_queue
 
-#: Interpreted flavors available on every host; the jitted flavor rides
+#: The kernel flavor available on every host; the jitted flavor rides
 #: along automatically where numba is installed (``active_flavor()``
 #: resolves to it and the same tests run through it in the numba CI job).
-FLAVORS = ["python", "flat-python"]
+FLAVORS = ["flat-python"]
 if event_kernels.active_flavor() == "numba":
     FLAVORS.append("numba")
 
@@ -235,8 +235,7 @@ class TestAdmissionKernels:
 
 class TestFlavorPlumbing:
     def test_active_flavor_known(self):
-        assert event_kernels.active_flavor() in (
-            "numba", "python", "flat-python", "disabled")
+        assert event_kernels.active_flavor() in ("numba", "disabled")
 
     def test_describe_nonempty(self):
         assert event_kernels.describe()
@@ -316,5 +315,5 @@ sys.meta_path.insert(0, _Block())
         assert check == self._reference()
 
     def test_import_without_numba(self):
-        check = self._run_subprocess(self.BLOCK_NUMBA, "python")
+        check = self._run_subprocess(self.BLOCK_NUMBA, "disabled")
         assert check == self._reference()

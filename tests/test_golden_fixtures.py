@@ -1,0 +1,284 @@
+"""Checked-in golden fixtures for the cycle-exact state machines.
+
+Each fixture under ``tests/golden/`` pins the output of one hot loop for
+a fixed set of seeded inputs:
+
+* ``rank_nmp.json`` -- the end state of a :class:`RankNMP` (last
+  completion cycle, per-bank and rank-level timing state, statistics,
+  partial-sum counts and RankCache contents in LRU order) after a
+  randomized instruction stream, with and without the RankCache;
+* ``event_queues.json`` -- FIFO and EDF starts/completes and the peak
+  queue depth of :func:`simulate_batch_queue`;
+* ``admission.json`` -- the admit masks of every built-in admission
+  controller mode.
+
+The replay runs under the *ambient* kernel flavor (whatever
+``REPRO_DISABLE_KERNELS`` and the numba probe selected at import), so
+the same fixtures pin the legacy object / ``heapq`` paths on hosts
+without numba and the jitted kernels on hosts with it.  The parity
+tests compare flavors against each other; these fixtures compare every
+flavor against recorded numbers, so a change that alters all flavors at
+once still fails.
+
+Regenerate (only for a change that is *meant* to alter simulated
+results) from the repository root::
+
+    PYTHONPATH=src python tests/test_golden_fixtures.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core.instruction import (
+    DDR_CMD_ACT,
+    DDR_CMD_PRE,
+    DDR_CMD_RD,
+    NMPInstruction,
+)
+from repro.core.rank_nmp import RankNMP, RankNMPConfig
+from repro.serving.admission import (
+    DeadlineAwareAdmission,
+    NoAdmission,
+    QueueDepthAdmission,
+    TokenBucketAdmission,
+    admission_kernel_spec,
+    apply_admission,
+)
+from repro.serving.arrival import ServingQuery
+from repro.serving.event_kernels import admission_mask, new_admission_state
+from repro.serving.events import simulate_batch_queue
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
+
+#: 300 instructions: above every flavor's packed-dispatch cutover, so a
+#: kernel (when one is bound) runs rather than the small-stream fallback.
+RANK_STREAM_LENGTH = 300
+RANK_CASES = [(seed, use_cache) for seed in range(4)
+              for use_cache in (True, False)]
+
+FIFO_CASES = [(seed, servers, 400) for seed in range(4)
+              for servers in (1, 2, 8)] \
+    + [(seed, servers, 300) for seed in (10, 11, 12) for servers in (2, 8)]
+EDF_CASES = [(seed, servers) for seed in (20, 21, 22, 23)
+             for servers in (1, 2, 8)]
+
+ADMISSION_CONTROLLERS = {
+    "none": NoAdmission(),
+    "token-bucket": TokenBucketAdmission(burst=8),
+    "token-bucket-rated": TokenBucketAdmission(rate_qps=40_000.0, burst=4),
+    "queue-depth": QueueDepthAdmission(max_depth=16),
+    "queue-depth-tight": QueueDepthAdmission(max_depth=2),
+    "deadline": DeadlineAwareAdmission(margin=1.2),
+}
+ADMISSION_SEEDS = (30, 31)
+#: (num_servers, est_query_us, est_batch_us) of every admission case.
+ADMISSION_MODEL = (3, 25.0, 200.0)
+
+
+# --------------------------------------------------------------------- #
+# Seeded inputs                                                         #
+# --------------------------------------------------------------------- #
+def _rank_stream(seed):
+    """Instructions and arrival cycles exercising hits, misses, bypasses
+    and row conflicts."""
+    rng = np.random.default_rng(seed)
+    instructions = []
+    for _ in range(RANK_STREAM_LENGTH):
+        daddr = int(rng.integers(0, 4096)) * int(rng.integers(1, 64))
+        instructions.append(NMPInstruction(
+            ddr_cmd=FULL_CMD, daddr=daddr, vsize=int(rng.integers(1, 5)),
+            weight=float(rng.choice([1.0, 0.5])),
+            locality_bit=bool(rng.integers(0, 2)),
+            psum_tag=int(rng.integers(0, 8))))
+    arrivals = np.cumsum(
+        rng.integers(0, 3, size=RANK_STREAM_LENGTH)).tolist()
+    return instructions, arrivals
+
+
+def _queue_inputs(seed, size):
+    """Ready/service vectors with ties, bursts and idle gaps, shuffled so
+    arrival order differs from index order."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.choice([0.0, 1.0, 2.0, 7.0, 500.0], size=size,
+                      p=[0.3, 0.3, 0.2, 0.15, 0.05])
+    ready = np.cumsum(gaps)
+    services = rng.integers(1, 60, size=size).astype(np.float64)
+    perm = rng.permutation(size)
+    return ready[perm], services[perm]
+
+
+def _edf_priorities(seed, size):
+    rng = np.random.default_rng(seed)
+    priorities = rng.choice([10.0, 20.0, 20.0, 50.0, np.inf], size=size)
+    return priorities + rng.integers(0, 3, size=size).astype(np.float64)
+
+
+def _admission_queries(seed, size=500):
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.choice([0.0, 3.0, 9.0, 40.0], size=size))
+    queries = []
+    for index in range(size):
+        deadline = None
+        if rng.random() < 0.8:
+            deadline = float(arrivals[index]) + float(rng.integers(20, 400))
+        queries.append(ServingQuery(query_id=index,
+                                    arrival_us=float(arrivals[index]),
+                                    deadline_us=deadline))
+    return queries
+
+
+# --------------------------------------------------------------------- #
+# Replay (ambient flavor)                                               #
+# --------------------------------------------------------------------- #
+def _replay_rank(seed, use_cache):
+    instructions, arrivals = _rank_stream(seed)
+    rank = RankNMP(RankNMPConfig(use_cache=use_cache,
+                                 cache_capacity_bytes=4096))
+    last = rank.execute_instructions(instructions, arrival_cycles=arrivals,
+                                     reorder_window=8)
+    return {
+        "last_cycle": int(last),
+        "current_cycle": int(rank.current_cycle),
+        "rank_scalars": [int(v) for v in rank.dram_rank.kernel_scalars()],
+        "banks": [[int(v) for v in bank.kernel_state()]
+                  for bank in rank.dram_rank.banks],
+        "stats": rank.stats.as_dict(),
+        "cache_stats": None if rank.cache is None else {
+            "hits": rank.cache.stats.hits,
+            "misses": rank.cache.stats.misses,
+            "bypasses": rank.cache.stats.bypasses,
+            "evictions": rank.cache.stats.evictions,
+        },
+        "psums": sorted([int(tag), int(count)]
+                        for tag, count in rank._psum_counts.items()),
+        "cache_order": None if rank.cache is None
+        else [int(daddr) for daddr in rank.cache._entries],
+    }
+
+
+def _queue_result(starts, completes, depth):
+    return {"starts": starts.tolist(), "completes": completes.tolist(),
+            "max_depth": int(depth)}
+
+
+def _replay_fifo(seed, servers, size):
+    ready, services = _queue_inputs(seed, size)
+    return _queue_result(*simulate_batch_queue(ready, services, servers))
+
+
+def _replay_edf(seed, servers):
+    ready, services = _queue_inputs(seed, 300)
+    priorities = _edf_priorities(seed, ready.size)
+    return _queue_result(*simulate_batch_queue(
+        ready, services, servers, order="edf", priorities=priorities))
+
+
+def _mask_string(mask):
+    return "".join("1" if admit else "0" for admit in mask)
+
+
+def _replay_admission(name, seed):
+    """The admit mask from the per-query controller loop and from the
+    vectorised :func:`admission_mask` (the cluster's two routes)."""
+    controller = ADMISSION_CONTROLLERS[name]
+    num_servers, est_query_us, est_batch_us = ADMISSION_MODEL
+    queries = _admission_queries(seed)
+    admitted, _ = apply_admission(queries, controller, num_servers,
+                                  est_query_us, est_batch_us)
+    admitted_ids = {query.query_id for query in admitted}
+    loop_mask = [query.query_id in admitted_ids for query in queries]
+
+    arrivals = np.array([query.arrival_us for query in queries])
+    slacks = np.array([np.nan if query.deadline_us is None
+                       else query.deadline_us - query.arrival_us
+                       for query in queries])
+    mode, param0, param1, initial_tokens = admission_kernel_spec(
+        controller, num_servers / est_query_us * 1e6)
+    state = new_admission_state(arrivals[0], initial_tokens)
+    vector_mask = admission_mask(arrivals, slacks, state, num_servers,
+                                 est_query_us, est_batch_us, mode, param0,
+                                 param1)
+    return _mask_string(loop_mask), _mask_string(vector_mask)
+
+
+def _case_key(*parts):
+    return "-".join(str(part) for part in parts)
+
+
+def _load(name):
+    return json.loads((GOLDEN_DIR / name).read_text())
+
+
+# --------------------------------------------------------------------- #
+# Tests                                                                 #
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("seed,use_cache", RANK_CASES)
+def test_rank_nmp_end_state(seed, use_cache):
+    expected = _load("rank_nmp.json")[_case_key(seed, use_cache)]
+    assert _replay_rank(seed, use_cache) == expected
+
+
+@pytest.mark.parametrize("seed,servers,size", FIFO_CASES)
+def test_fifo_queue_times(seed, servers, size):
+    expected = _load("event_queues.json")[
+        _case_key("fifo", seed, servers, size)]
+    assert _replay_fifo(seed, servers, size) == expected
+
+
+@pytest.mark.parametrize("seed,servers", EDF_CASES)
+def test_edf_queue_times(seed, servers):
+    expected = _load("event_queues.json")[_case_key("edf", seed, servers)]
+    assert _replay_edf(seed, servers) == expected
+
+
+@pytest.mark.parametrize("seed", ADMISSION_SEEDS)
+@pytest.mark.parametrize("name", sorted(ADMISSION_CONTROLLERS))
+def test_admission_masks(name, seed):
+    expected = _load("admission.json")[_case_key(name, seed)]
+    loop_mask, vector_mask = _replay_admission(name, seed)
+    assert loop_mask == expected
+    assert vector_mask == expected
+
+
+# --------------------------------------------------------------------- #
+# Regeneration                                                          #
+# --------------------------------------------------------------------- #
+def _write(name, cases):
+    """One case per line: readable diffs without one line per number."""
+    lines = ["%s: %s" % (json.dumps(key),
+                         json.dumps(cases[key], sort_keys=True,
+                                    allow_nan=False))
+             for key in sorted(cases)]
+    (GOLDEN_DIR / name).write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def regenerate():
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    _write("rank_nmp.json", {
+        _case_key(seed, use_cache): _replay_rank(seed, use_cache)
+        for seed, use_cache in RANK_CASES})
+    queues = {_case_key("fifo", seed, servers, size):
+              _replay_fifo(seed, servers, size)
+              for seed, servers, size in FIFO_CASES}
+    queues.update({_case_key("edf", seed, servers):
+                   _replay_edf(seed, servers)
+                   for seed, servers in EDF_CASES})
+    _write("event_queues.json", queues)
+    admission = {}
+    for name in sorted(ADMISSION_CONTROLLERS):
+        for seed in ADMISSION_SEEDS:
+            loop_mask, vector_mask = _replay_admission(name, seed)
+            if loop_mask != vector_mask:
+                raise SystemExit("admission routes disagree for %s/%d"
+                                 % (name, seed))
+            admission[_case_key(name, seed)] = loop_mask
+    _write("admission.json", admission)
+
+
+if __name__ == "__main__":
+    regenerate()

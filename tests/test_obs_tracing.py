@@ -46,7 +46,7 @@ from repro.serving import (
 from repro.serving.event_kernels import force_flavor
 from repro.traces import make_production_table_traces
 
-FLAVORS = ["python", "flat-python"]
+FLAVORS = ["disabled", "flat-python"]
 if event_kernels.active_flavor() == "numba":
     FLAVORS.append("numba")
 
