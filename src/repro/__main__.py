@@ -69,15 +69,16 @@ Subcommands
     error (unknown rule, missing path).  Suppress an intentional
     pattern in place with ``# repro-lint: allow-<rule> (reason)``.
 
-``run``, ``serve`` and ``profile`` accept ``--backend
-{serial,thread,process,shared-memory}`` and ``--jobs N`` to pick the
-execution backend: for ``run``/``profile`` it drives the multi-channel
-cycle simulations (``process`` puts N channels on N cores,
-``shared-memory`` additionally ships the request arrays zero-copy); for
-``serve`` it is the cluster's *node-level* backend (the per-node shard
-simulations of each batch fan out, with ``--jobs`` governing the total
-worker slots).  ``run`` prints the memoised DDR4 baseline-cache
-effectiveness after the workload.
+``run``, ``serve`` and ``profile`` accept ``--backend {serial,process}``
+and ``--jobs N`` to pick the execution backend: for ``run``/``profile``
+it drives the multi-channel cycle simulations (``process`` puts N
+channels on N cores); for ``serve`` it is the cluster's *node-level*
+backend (the per-node shard simulations of each batch fan out, with
+``--jobs`` governing the total worker slots).  ``--jobs`` and serve's
+``--nodes``/``--queries``/``--max-batch``/``--frontends`` must be
+integers >= 1 (anything else is a usage error, exit code 2).  ``run``
+prints the memoised DDR4 baseline-cache effectiveness after the
+workload.
 """
 
 import argparse
@@ -239,6 +240,22 @@ _FINITE = _float_arg("a finite number")
 _POSITIVE = _float_arg("a finite number > 0", lambda value: value > 0)
 _NON_NEGATIVE = _float_arg("a finite number >= 0", lambda value: value >= 0)
 _FRACTION = _float_arg("a number in (0, 1]", lambda value: 0 < value <= 1)
+
+
+def _positive_int(text):
+    """argparse ``type=`` for an integer >= 1 (counts and sizes).
+
+    ``--jobs 0`` or ``--nodes 0`` become usage errors (exit code 2)
+    instead of a ``ValueError`` traceback from deep inside the library.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "expected an integer >= 1, got %r" % text)
+    return value
 
 
 def _json_safe(value):
@@ -591,14 +608,12 @@ def build_parser():
         p.add_argument("--num-rows", type=int, default=20_000)
         p.add_argument("--vector-bytes", type=int, default=128)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--backend",
-                       choices=("serial", "thread", "process",
-                                "shared-memory"),
+        p.add_argument("--backend", choices=("serial", "process"),
                        default=None,
-                       help="execution backend (run/profile: one core per "
-                            "channel; serve: one core per node shard; "
-                            "shared-memory ships request arrays zero-copy)")
-        p.add_argument("--jobs", type=int, default=None,
+                       help="execution backend (process: run/profile use "
+                            "one core per channel, serve one core per "
+                            "node shard)")
+        p.add_argument("--jobs", type=_positive_int, default=None,
                        help="max concurrent backend workers (default: one "
                             "per busy channel / node)")
         p.add_argument("--json", action="store_true",
@@ -649,10 +664,10 @@ def build_parser():
                        help="dump the cluster metrics-registry snapshot "
                             "as JSON to PATH (render with 'python -m "
                             "repro report PATH')")
-    serve.add_argument("--nodes", type=int, default=2)
+    serve.add_argument("--nodes", type=_positive_int, default=2)
     serve.add_argument("--qps", type=_POSITIVE, default=50_000.0)
-    serve.add_argument("--queries", type=int, default=64)
-    serve.add_argument("--max-batch", type=int, default=8)
+    serve.add_argument("--queries", type=_positive_int, default=64)
+    serve.add_argument("--max-batch", type=_positive_int, default=8)
     serve.add_argument("--max-delay-us", type=_NON_NEGATIVE, default=200.0)
     serve.add_argument("--arrival", choices=("poisson", "mmpp", "trace"),
                        default="poisson",
@@ -681,7 +696,7 @@ def build_parser():
                             "lookup-equivalents for load-aware "
                             "placement/routing (default: calibrated "
                             "from the node's measured service times)")
-    serve.add_argument("--frontends", type=int, default=1,
+    serve.add_argument("--frontends", type=_positive_int, default=1,
                        help="concurrent dispatch servers on the batch queue")
     serve.add_argument("--stream-chunk", type=int, default=None,
                        help="generate and simulate queries in arrival-"

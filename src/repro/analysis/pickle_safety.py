@@ -1,8 +1,8 @@
 """Rule ``pickle-safety``: process-backend payload classes must pickle.
 
-The process and shared-memory backends ship work through ``pickle``:
-channel work units carry :class:`SLSRequest` objects, node jobs carry a
-registry spec, and parallel sweeps pickle the whole parameter set --
+The process backend ships work through ``pickle``: channel work units
+carry :class:`SLSRequest` objects, node jobs carry a registry spec, and
+parallel sweeps pickle the whole parameter set --
 queries, frontend, sharder, admission controller, SLO policy, service
 model, service store.  A field holding a lambda, a lock, a live sqlite
 connection or a thread pool turns that into an opaque

@@ -76,13 +76,12 @@ class ShardedServingCluster:
     service_cache_entries:
         LRU bound on the memoised per-batch service times.
     backend, jobs:
-        *Node-level* execution backend (``"serial"`` / ``"thread"`` /
-        ``"process"`` / ``"shared-memory"`` or a ready
-        :class:`~repro.core.backend.ParallelBackend`) and its worker
-        bound: the per-node shard simulations of one batch fan out
-        through it, so ``jobs`` governs the total worker slots of the
-        cluster.  The process-family backends rebuild each node from
-        its registry spec in their workers (cached per worker), which
+        *Node-level* execution backend (``"serial"`` / ``"process"`` or
+        a ready :class:`~repro.core.backend.ParallelBackend`) and its
+        worker bound: the per-node shard simulations of one batch fan
+        out through it, so ``jobs`` governs the total worker slots of
+        the cluster.  The process backend rebuilds each node from its
+        registry spec in its workers (cached per worker), which
         keeps every node's channels serial unless ``channel_backend``
         says otherwise.  Results are bit-identical across backends; the
         per-batch memoisation stays in this (parent) process.
@@ -143,9 +142,9 @@ class ShardedServingCluster:
         node_overrides.setdefault("compare_baseline", False)
         self.num_nodes = int(num_nodes)
         self.node_system = node_system
-        #: The per-node ``build_system`` overrides; the process-family
-        #: node-level backends ship ``(node_system, node_overrides)`` to
-        #: their workers to rebuild the nodes there.
+        #: The per-node ``build_system`` overrides; the process backend
+        #: ships ``(node_system, node_overrides)`` to its workers to
+        #: rebuild the nodes there.
         self.node_overrides = dict(node_overrides)
         self.num_frontends = int(num_frontends)
         self.sharder = sharder
@@ -361,11 +360,10 @@ class ShardedServingCluster:
     def export_service_state(self):
         """Snapshot of cache entries and counters for a sweep merge.
 
-        A sweep worker (thread clone or process rebuild) runs its points
-        on its own cluster object; the parent folds the worker's
-        service-time entries and counter deltas back with
-        :meth:`merge_service_state`, exactly like the baseline-cache
-        merge of the process backends.
+        A sweep worker process runs its points on its own cluster
+        object; the parent folds the worker's service-time entries and
+        counter deltas back with :meth:`merge_service_state`, exactly
+        like the baseline-cache merge of the process backend.
         """
         cache = self._service_cache.stats()
         state = {"entries": self._service_cache.export_entries(),
@@ -961,8 +959,8 @@ def build_sweep_cluster(spec):
     """Rebuild an equivalent cluster from a sweep spec.
 
     The sharder is deep-copied so the rebuilt cluster owns its routing
-    state (thread-backend clones would otherwise share counters with the
-    parent); everything else in the spec is plain configuration.  The
+    state (an in-process rebuild would otherwise share counters with the
+    original); everything else in the spec is plain configuration.  The
     clone's node-level backend is serial and its store -- when the spec
     names one -- is a fresh connection to the shared database file.
     """
@@ -995,11 +993,10 @@ def qps_sweep(cluster, make_queries, qps_points, frontend=None, engine=None,
 
     ``backend``/``jobs`` select the *sweep-level* execution backend
     (default serial): sweep points are independent given fresh routing
-    state -- ``simulate`` already resets it per run -- so ``"thread"``
-    runs each point on a per-point cluster clone and ``"process"`` /
-    ``"shared-memory"`` rebuild the cluster in worker processes, one
-    point per worker.  Query streams are materialised in the parent
-    (``make_queries`` itself never crosses a process boundary), every
+    state -- ``simulate`` already resets it per run -- so ``"process"``
+    rebuilds the cluster in worker processes, one point per worker.
+    Query streams are materialised in the parent (``make_queries``
+    itself never crosses a process boundary), every
     worker's service-time cache/store deltas are merged back into
     ``cluster``, and the reports are bit-identical to the serial loop.
     A backend passed by name is shut down when the sweep returns; a

@@ -234,12 +234,29 @@ class TestParseErrors:
         assert excinfo.value.code == 2         # argparse usage error
         assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        SERVE_ARGS + ["--backend", "process", "--jobs", "0"],
+        SERVE_ARGS + ["--jobs", "-2"], SERVE_ARGS + ["--jobs", "two"],
+        SERVE_ARGS + ["--nodes", "0"], SERVE_ARGS + ["--nodes", "1.5"],
+        SERVE_ARGS + ["--queries", "0"], SERVE_ARGS + ["--max-batch", "0"],
+        SERVE_ARGS + ["--frontends", "0"],
+        ["run", "--jobs", "0"], ["profile", "--jobs", "0"],
+    ])
+    def test_bad_int_flags_exit_with_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2         # argparse usage error
+        assert argv[-2] in capsys.readouterr().err
+
     def test_bad_choices_exit_with_usage_error(self, capsys):
         for flags in (["--arrival", "bursty"],
                       ["--engine", "closed-form"],
                       ["--admission", "drop-everything"],
                       ["--shard-policy", "best-fit"],
-                      ["--service-model", "oracle"]):
+                      ["--service-model", "oracle"],
+                      # Removed backends are no longer valid choices.
+                      ["--backend", "thread"],
+                      ["--backend", "shared-memory"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(SERVE_ARGS + flags)
             assert excinfo.value.code == 2     # argparse usage error

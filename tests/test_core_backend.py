@@ -1,6 +1,8 @@
 """Tests for repro.core.backend (parallel execution backends)."""
 
+import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -10,8 +12,6 @@ from repro.core.backend import (
     ParallelBackend,
     ProcessBackend,
     SerialBackend,
-    SharedMemoryBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.core.multi_channel import MultiChannelRecNMP
@@ -28,6 +28,8 @@ from repro.systems.base import TableLayout
 NUM_ROWS = 8_000
 VECTOR_BYTES = 128
 LAYOUT = TableLayout(num_rows=NUM_ROWS, vector_bytes=VECTOR_BYTES)
+#: Every backend that must match the serial reference bit for bit.
+PARALLEL_BACKENDS = sorted(set(BACKENDS) - {"serial"})
 
 
 def _requests(num_tables=4, batch=4, pooling=12, seed=0):
@@ -74,9 +76,15 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("gpu")
 
+    @pytest.mark.parametrize("name", ["thread", "shared-memory"])
+    def test_removed_names_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown backend") as error:
+            resolve_backend(name)
+        assert "available: process, serial" in str(error.value)
+
     def test_invalid_max_workers_rejected(self):
         with pytest.raises(ValueError):
-            ThreadBackend(max_workers=0)
+            ProcessBackend(max_workers=0)
 
     def test_describe(self):
         assert ProcessBackend(max_workers=3).describe() == \
@@ -105,11 +113,11 @@ class TestPickleRoundtrip:
         address_of = pickle.loads(pickle.dumps(LAYOUT.address_of))
         assert address_of(3, 17) == LAYOUT.address_of(3, 17)
 
-    @pytest.mark.parametrize("backend", ["process", "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_unpicklable_address_of_rejected(self, backend):
-        # The lambda address-map regression: both process-family
-        # transports must fail fast in the parent and *name* the
-        # offending input, not die inside a pool worker.
+        # The lambda address-map regression: the process backend must
+        # fail fast in the parent and *name* the offending input, not
+        # die inside a pool worker.
         with MultiChannelRecNMP(
                 num_channels=2,
                 channel_config=RecNMPConfig(num_dimms=1, ranks_per_dimm=2),
@@ -121,7 +129,7 @@ class TestPickleRoundtrip:
                                                    pooling=4),
                                          compare_baseline=False)
 
-    @pytest.mark.parametrize("backend", ["process", "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_unpicklable_config_field_named(self, backend):
         with MultiChannelRecNMP(
                 num_channels=2,
@@ -139,7 +147,7 @@ class TestPickleRoundtrip:
 
 
 class TestBackendEquivalence:
-    """serial / thread / process must be byte-identical per dispatch."""
+    """serial and process must be byte-identical per dispatch."""
 
     @classmethod
     def setup_class(cls):
@@ -148,8 +156,7 @@ class TestBackendEquivalence:
         cls.reference = coordinator.run_requests(cls.requests,
                                                  compare_baseline=True)
 
-    @pytest.mark.parametrize("backend", ["thread", "process",
-                                         "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_identical_results(self, backend):
         coordinator = _coordinator(backend)
         result = coordinator.run_requests(self.requests,
@@ -167,9 +174,10 @@ class TestBackendEquivalence:
         coordinator.close()
 
     def test_jobs_bound_respected(self):
-        coordinator = _coordinator(ThreadBackend(max_workers=1))
-        result = coordinator.run_requests(self.requests,
-                                          compare_baseline=False)
+        with _coordinator(ProcessBackend(max_workers=1)) as coordinator:
+            result = coordinator.run_requests(self.requests,
+                                              compare_baseline=False)
+            assert coordinator.backend._pool_workers == 1
         assert result.total_cycles == self.reference.total_cycles
 
     def test_process_merges_worker_baseline_entries(self):
@@ -189,12 +197,12 @@ class TestBackendEquivalence:
             clear_baseline_cache()
 
 
-class TestSharedMemoryTransport:
-    """Zero-copy specifics of the shared-memory backend."""
+class TestProcessTransport:
+    """Pickled work units, pool reuse and recovery from a dead worker."""
 
     def test_weighted_and_metadata_requests_roundtrip(self):
-        # Weights ride in the segment as float32 views; metadata (small)
-        # travels with the descriptors.  Both must survive the transport.
+        # Weights and metadata ride inside the pickled requests; both
+        # must survive the trip to the workers.
         rng = np.random.default_rng(5)
         requests = []
         for table in range(2):
@@ -205,17 +213,17 @@ class TestSharedMemoryTransport:
                 weights=rng.random(24).astype(np.float32),
                 metadata={"origin": "test"}))
         results = {}
-        for backend in ("serial", "shared-memory"):
+        for backend in ("serial", "process"):
             with _coordinator(backend, num_channels=2) as coordinator:
                 result = coordinator.run_requests(requests,
                                                   compare_baseline=False)
                 results[backend] = (result.total_cycles,
                                     result.per_channel_cycles,
                                     result.energy_nj)
-        assert results["shared-memory"] == results["serial"]
+        assert results["process"] == results["serial"]
 
     def test_repeat_dispatch_reuses_pool(self):
-        with _coordinator("shared-memory", num_channels=2) as coordinator:
+        with _coordinator("process", num_channels=2) as coordinator:
             first = coordinator.run_requests(
                 _requests(num_tables=2, batch=2, pooling=8, seed=1),
                 compare_baseline=False)
@@ -227,18 +235,50 @@ class TestSharedMemoryTransport:
         assert first.total_cycles == second.total_cycles
 
     def test_merges_worker_baseline_entries(self):
+        # The pairs merged back from the workers must be exactly the
+        # ones a serial run caches, so a later serial dispatch replays
+        # them as hits instead of simulating again.
+        requests = _requests(num_tables=2, batch=2, pooling=8, seed=9)
         clear_baseline_cache()
         try:
-            with _coordinator("shared-memory",
-                              num_channels=2) as coordinator:
-                coordinator.run_requests(
-                    _requests(num_tables=2, batch=2, pooling=8, seed=9),
-                    compare_baseline=True)
-                stats = baseline_cache_stats()
-                assert stats["entries"] == 2
-                assert stats["misses"] == 2
+            with _coordinator("serial", num_channels=2) as coordinator:
+                coordinator.run_requests(requests, compare_baseline=True)
+            serial_entries = dict(export_baseline_entries())
+            clear_baseline_cache()
+            with _coordinator("process", num_channels=2) as coordinator:
+                coordinator.run_requests(requests, compare_baseline=True)
+            assert baseline_cache_stats() == {"entries": 2, "hits": 0,
+                                              "misses": 2}
+            assert dict(export_baseline_entries()) == serial_entries
+            with _coordinator("serial", num_channels=2) as coordinator:
+                coordinator.run_requests(requests, compare_baseline=True)
+            assert baseline_cache_stats() == {"entries": 2, "hits": 2,
+                                              "misses": 2}
         finally:
             clear_baseline_cache()
+
+    def test_dead_worker_fails_one_dispatch_then_pool_is_rebuilt(self):
+        requests = _requests(num_tables=4, batch=2, pooling=8, seed=4)
+        with _coordinator("serial", num_channels=4) as coordinator:
+            reference = coordinator.run_requests(requests,
+                                                 compare_baseline=True)
+        with _coordinator("process", num_channels=4) as coordinator:
+            coordinator.run_requests(requests, compare_baseline=True)
+            pool = coordinator.backend._pool
+            # Kill one worker mid-pool: the executor marks itself broken.
+            with pytest.raises(BrokenProcessPool):
+                pool.submit(os._exit, 1).result()
+            with pytest.raises(BrokenProcessPool):
+                coordinator.run_requests(requests, compare_baseline=True)
+            assert coordinator.backend._pool is None
+            result = coordinator.run_requests(requests,
+                                              compare_baseline=True)
+            assert coordinator.backend._pool is not pool
+        assert result.per_channel_cycles == reference.per_channel_cycles
+        assert result.total_cycles == reference.total_cycles
+        assert result.energy_nj == reference.energy_nj
+        assert result.baseline_cycles == reference.baseline_cycles
+        assert result.speedup_vs_baseline == reference.speedup_vs_baseline
 
 
 class TestContextManagers:
@@ -292,8 +332,7 @@ class TestNodeLevelServiceJobs:
                                       batch_size=2, pooling_factor=10)
         return QueryBatch(queries=queries, open_us=0.0, formed_us=0.0)
 
-    @pytest.mark.parametrize("backend", ["thread", "process",
-                                         "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_service_time_matches_serial(self, backend):
         batch = self._batch()
         with self._cluster("serial") as cluster:
@@ -310,7 +349,7 @@ class TestNodeLevelServiceJobs:
             assert cluster.service_time_us(batch) == first
             assert cluster.service_cache_stats()["hits"] == 1
 
-    @pytest.mark.parametrize("backend", ["process", "shared-memory"])
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_unpicklable_node_override_named(self, backend):
         from repro.serving import ShardedServingCluster
 

@@ -1,13 +1,15 @@
 """Tests for parallel qps_sweep, batched dedup and the warm store path.
 
 The sweep backends must be invisible: whatever backend runs the points
-(serial loop, per-point thread clones, worker-process rebuilds), the
+(the serial loop or worker-process rebuilds of the cluster), the
 reports -- percentiles, extras, SLO records -- must be *byte-identical*
 to the serial loop, across stateless and stateful sharders and across
 engines.  Batched service resolution must likewise be indistinguishable
 from resolving batches one at a time, and a sweep re-run against a warm
 persistent store must perform zero exact batch simulations.
 """
+
+import pytest
 
 from repro.serving import (
     BatchingFrontend,
@@ -23,7 +25,7 @@ from repro.traces import make_production_table_traces
 NUM_ROWS = 512
 NUM_TABLES = 4
 QPS_POINTS = [40_000.0, 80_000.0, 120_000.0]
-PARALLEL_BACKENDS = ("thread", "process")
+PARALLEL_BACKENDS = ("process",)
 
 
 def make_traces():
@@ -76,7 +78,7 @@ class TestParallelSweepIdentity:
 
     def test_backends_match_serial_stateful_sharder(self):
         # Replication routes by running load counters (stateful), the
-        # hardest case for per-point clones and worker rebuilds.
+        # hardest case for worker rebuilds.
         traces = make_traces()
 
         def sharder():
@@ -96,6 +98,18 @@ class TestParallelSweepIdentity:
         cache = stats["cache"]
         assert cache["entries"] > 0
         assert cache["hits"] + cache["misses"] > 0
+
+    def test_unpicklable_sweep_parameter_named(self):
+        # The preflight fails in the parent and names the parameter that
+        # cannot cross the process boundary.
+        frontend = BatchingFrontend(max_queries=4, max_delay_us=200.0)
+        frontend.on_batch = lambda batch: None
+        with make_cluster() as cluster:
+            with pytest.raises(ValueError,
+                               match="the frontend passed to the sweep"):
+                qps_sweep(cluster, make_query_factory(make_traces()),
+                          QPS_POINTS, frontend=frontend,
+                          service_model="exact", backend="process")
 
 
 class TestWarmStoreSweep:
