@@ -192,7 +192,8 @@ def cmd_run(args):
     payload["description"] = system.describe()
     payload["baseline_cache"] = cache_stats
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
+        json.dump(_json_safe(payload), sys.stdout, indent=2,
+                  allow_nan=False)
         print()
         return 0
     print(system.describe())
@@ -242,20 +243,29 @@ _NON_NEGATIVE = _float_arg("a finite number >= 0", lambda value: value >= 0)
 _FRACTION = _float_arg("a number in (0, 1]", lambda value: 0 < value <= 1)
 
 
-def _positive_int(text):
-    """argparse ``type=`` for an integer >= 1 (counts and sizes).
+def _int_arg(description, accept):
+    """argparse ``type=`` for an integer for which ``accept`` holds.
 
-    ``--jobs 0`` or ``--nodes 0`` become usage errors (exit code 2)
-    instead of a ``ValueError`` traceback from deep inside the library.
+    ``--jobs 0`` or ``--tables 0`` become usage errors (exit code 2)
+    instead of a ``ValueError`` traceback from deep inside the library
+    or a silently empty run.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "expected an integer >= 1, got %r" % text)
-    return value
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(
+                "expected %s, got %r" % (description, text))
+        return value
+    return parse
+
+
+_positive_int = _int_arg("an integer >= 1", lambda value: value >= 1)
+#: Embedding vectors occupy whole 64-byte DRAM bursts.
+_VECTOR_BYTES = _int_arg("a positive multiple of 64",
+                         lambda value: value > 0 and value % 64 == 0)
 
 
 def _json_safe(value):
@@ -531,7 +541,8 @@ def cmd_profile(args):
             rows.append({"function": "%s:%d:%s" % (filename, line, name),
                          "calls": calls, "primitive_calls": primitive,
                          "tottime": tottime, "cumtime": cumtime})
-        json.dump({"profile": header, "top": rows}, sys.stdout, indent=2)
+        json.dump(_json_safe({"profile": header, "top": rows}),
+                  sys.stdout, indent=2, allow_nan=False)
         print()
         return 0
     print("profiled %s" % header["system"])
@@ -602,11 +613,11 @@ def build_parser():
                        choices=("synthetic", "production"),
                        default="synthetic",
                        help="'synthetic' (random) or 'production' locality")
-        p.add_argument("--tables", type=int, default=4)
-        p.add_argument("--batch", type=int, default=8)
-        p.add_argument("--pooling", type=int, default=40)
-        p.add_argument("--num-rows", type=int, default=20_000)
-        p.add_argument("--vector-bytes", type=int, default=128)
+        p.add_argument("--tables", type=_positive_int, default=4)
+        p.add_argument("--batch", type=_positive_int, default=8)
+        p.add_argument("--pooling", type=_positive_int, default=40)
+        p.add_argument("--num-rows", type=_positive_int, default=20_000)
+        p.add_argument("--vector-bytes", type=_VECTOR_BYTES, default=128)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--backend", choices=("serial", "process"),
                        default=None,

@@ -135,23 +135,6 @@ class InterpolatingServiceModel(ServiceTimeModel):
         self._interpolated_calls = 0
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _query_shape(batch):
-        """Observed per-request poolings and per-pooling lookups."""
-        # Batch classes carry a cached request count; duck-typed batches
-        # without one fall back to the object walk.
-        num_requests = getattr(batch, "num_requests", None)
-        if num_requests is None:
-            num_requests = sum(len(query.requests)
-                               for query in batch.queries)
-        if num_requests == 0:
-            raise ValueError(
-                "batch carries no SLS requests; cannot derive a "
-                "calibration shape for the interpolating service model")
-        poolings = max(int(round(batch.total_poolings / num_requests)), 1)
-        pooling_factor = max(int(round(batch.mean_pooling_factor)), 1)
-        return poolings, pooling_factor
-
     def _calibration_row(self, cluster, poolings, pooling_factor):
         """Simulated service times over the batch-size grid at one shape."""
         from repro.serving.arrival import queries_from_traces
@@ -201,23 +184,9 @@ class InterpolatingServiceModel(ServiceTimeModel):
         return grid[key]
 
     @staticmethod
-    def _interp_row(row, total_poolings):
-        """Row lookup with linear extrapolation past the last grid point."""
-        xs, values = row
-        if total_poolings > xs[-1]:
-            slope = (values[-1] - values[-2]) / (xs[-1] - xs[-2])
-            return float(values[-1] + slope * (total_poolings - xs[-1]))
-        return float(np.interp(total_poolings, xs, values))
-
-    @staticmethod
     def _interp_row_vector(row, total_poolings):
-        """Vectorised :meth:`_interp_row` over a total-poolings array.
-
-        ``np.interp`` evaluates each element with the same operations as
-        the scalar call, and the extrapolation branch applies the same
-        slope expression, so every element matches the scalar path
-        bitwise.
-        """
+        """Row lookup over a total-poolings array, with linear
+        extrapolation past the last grid point."""
         xs, values = row
         result = np.interp(total_poolings, xs, values)
         beyond = total_poolings > xs[-1]
@@ -243,67 +212,75 @@ class InterpolatingServiceModel(ServiceTimeModel):
         return tuple(sorted({below[-1], above[0]}))
 
     def service_time_us(self, cluster, batch):
-        grid = self._grid_for(cluster)
-        poolings, observed_pf = self._query_shape(batch)
-        total_poolings = float(batch.total_poolings)
-        pf_rows = self._pf_rows_for(observed_pf)
-        self._interpolated_calls += 1
-        if len(pf_rows) == 1:
-            return self._interp_row(
-                self._row(grid, cluster, poolings, pf_rows[0]),
-                total_poolings)
-        low, high = pf_rows
-        value_low = self._interp_row(
-            self._row(grid, cluster, poolings, low), total_poolings)
-        value_high = self._interp_row(
-            self._row(grid, cluster, poolings, high), total_poolings)
-        weight = (observed_pf - low) / (high - low)
-        return value_low + weight * (value_high - value_low)
+        return float(self.service_times_us(cluster, [batch])[0])
 
     def service_times_us(self, cluster, batches):
-        """Grouped-and-vectorised batch answering (the engine-facing
+        """Per-batch service times as a float64 array (the engine-facing
         call).
 
-        One pass over the batches reads their (cached) shape aggregates
-        and calibrates any missing grid rows in first-encounter order --
-        exactly the calibration sequence of the one-batch-at-a-time
-        loop -- then batches sharing a shape are answered with one
-        vectorised row interpolation each.  Values are bit-identical to
-        the scalar path (:meth:`_interp_row_vector`).
+        :class:`~repro.serving.query_columns.BatchColumns` are reduced
+        per batch with ``np.add.reduceat`` on the batch offsets; any
+        other batch sequence contributes each batch's cached aggregates.
+        Both feed :meth:`_answer`.
         """
-        batches = list(batches)
-        if not batches:
-            return []
+        if getattr(batches, "is_columns", False):
+            columns = batches.columns
+            aggregates = [np.add.reduceat(array, batches.starts)
+                          for array in (columns.poolings, columns.lookups,
+                                        columns.num_requests)]
+        else:
+            aggregates = np.array(
+                [(batch.total_poolings, batch.total_lookups,
+                  batch.num_requests) for batch in batches],
+                dtype=np.int64).reshape(-1, 3).T
+        return self._answer(cluster, *aggregates)
+
+    def _answer(self, cluster, total_poolings, total_lookups,
+                num_requests):
+        """Service times from per-batch aggregate arrays.
+
+        A batch's shape is its rounded (``np.rint``: half-even, like
+        ``round``) poolings per request and lookups per pooling, each at
+        least 1.  Missing grid rows are calibrated in the shapes'
+        first-encounter order -- the calibration sequence of a
+        one-batch-at-a-time loop -- and every shape's batches are
+        answered with one vectorised row interpolation.
+        """
+        count = total_poolings.shape[0]
+        if not count:
+            return np.empty(0, dtype=np.float64)
+        if not num_requests.all():
+            raise ValueError(
+                "batch carries no SLS requests; cannot derive a "
+                "calibration shape for the interpolating service model")
+        points = total_poolings.astype(np.float64)
+        mean_pf = np.divide(total_lookups, total_poolings,
+                            out=np.zeros(count), where=total_poolings > 0)
+        shapes = np.maximum(np.rint(np.column_stack(
+            (points / num_requests, mean_pf))), 1).astype(np.int64)
+        unique, first, inverse, counts = np.unique(
+            shapes, axis=0, return_index=True, return_inverse=True,
+            return_counts=True)
+        members = np.split(np.argsort(inverse.reshape(-1), kind="stable"),
+                           np.cumsum(counts)[:-1])
         grid = self._grid_for(cluster)
-        shapes = []
-        total_poolings = np.empty(len(batches), dtype=np.float64)
-        for index, batch in enumerate(batches):
-            poolings, observed_pf = self._query_shape(batch)
+        out = np.empty(count, dtype=np.float64)
+        for group in np.argsort(first):
+            poolings, observed_pf = (int(value) for value in unique[group])
             pf_rows = self._pf_rows_for(observed_pf)
-            for pf_row in pf_rows:
-                self._row(grid, cluster, poolings, pf_row)
-            self._interpolated_calls += 1
-            shapes.append((poolings, pf_rows, observed_pf))
-            total_poolings[index] = float(batch.total_poolings)
-        groups = {}
-        for index, shape in enumerate(shapes):
-            groups.setdefault(shape, []).append(index)
-        out = np.empty(len(batches), dtype=np.float64)
-        for (poolings, pf_rows, observed_pf), indices in groups.items():
-            points = total_poolings[indices]
-            if len(pf_rows) == 1:
-                values = self._interp_row_vector(
-                    grid[(poolings, pf_rows[0])], points)
-            else:
+            rows = [self._row(grid, cluster, poolings, pf_row)
+                    for pf_row in pf_rows]
+            indices = members[group]
+            values = self._interp_row_vector(rows[0], points[indices])
+            if len(rows) == 2:
                 low, high = pf_rows
-                value_low = self._interp_row_vector(
-                    grid[(poolings, low)], points)
-                value_high = self._interp_row_vector(
-                    grid[(poolings, high)], points)
+                value_high = self._interp_row_vector(rows[1],
+                                                     points[indices])
                 weight = (observed_pf - low) / (high - low)
-                values = value_low + weight * (value_high - value_low)
+                values = values + weight * (value_high - values)
             out[indices] = values
-        return out.tolist()
+        self._interpolated_calls += count
+        return out
 
     def stats(self):
         """Calibration-vs-interpolation call accounting."""

@@ -780,7 +780,7 @@ class ShardedServingCluster:
         last_arrival = None
         carry = None
         batch_parts = []
-        services = []
+        service_parts = []
         shed_id_parts = []
         shed_arrival_parts = []
         routing_reset = False
@@ -864,7 +864,8 @@ class ShardedServingCluster:
                                                         final=is_final)
             if len(formed):
                 batch_parts.append(formed)
-                services.extend(model.service_times_us(self, formed))
+                service_parts.append(np.asarray(
+                    model.service_times_us(self, formed), dtype=np.float64))
         if controller is not None and num_offered and not num_admitted:
             raise ValueError(
                 "admission controller %r shed every query; offered "
@@ -886,7 +887,7 @@ class ShardedServingCluster:
             raise ValueError("need at least one batch")
         batches = BatchColumns.concat(batch_parts)
         report = engine.summarize(
-            self.describe(), batches, services,
+            self.describe(), batches, np.concatenate(service_parts),
             num_servers=self.num_frontends,
             trigger_counts=frontend.trigger_counts(batches),
             extras={"num_nodes": self.num_nodes,

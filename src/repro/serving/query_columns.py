@@ -16,9 +16,9 @@ only where a caller actually needs one:
   consumers (custom SLO policies, admission controllers, the exact
   service path) keep working unchanged.
 * :func:`form_batch_columns` -- the two-trigger batcher
-  (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as a
-  per-*batch* ``searchsorted`` scan instead of a per-query loop, with a
-  carry-out open batch so chunked streaming reproduces the one-shot
+  (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as one
+  vectorised ``searchsorted`` plus a walk over batch starts instead of
+  a per-query loop, with a carry-out open batch so chunked streaming reproduces the one-shot
   batching byte for byte.
 * :class:`BatchColumns` / :class:`ColumnBatch` -- the formed batches as
   arrays (formation times, sizes, triggers, per-batch deadline minima)
@@ -634,9 +634,10 @@ def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     """Two-trigger batch formation over sorted query columns.
 
     Reproduces :meth:`BatchingFrontend.form_batches` exactly -- same
-    batch boundaries, formation times and trigger labels -- with one
-    ``searchsorted`` per *batch* instead of per-query object work.
-    ``columns`` must already be in ``(arrival_us, query_id)`` order.
+    batch boundaries, formation times and trigger labels -- from one
+    vectorised ``searchsorted`` over every position, a walk over the
+    batch starts and fancy-indexed per-batch arrays.  ``columns`` must
+    already be in ``(arrival_us, query_id)`` order.
 
     Returns ``(batch_columns, carry)``: with ``final=False`` a trailing
     open batch whose deadline has not passed within ``columns`` (and
@@ -647,41 +648,30 @@ def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     """
     arrivals = columns.arrival_us
     size = arrivals.shape[0]
-    starts, formed, opens, triggers = [], [], [], []
+    cutoffs = arrivals + max_delay_us
+    limits = np.searchsorted(arrivals, cutoffs, side="left")
+    # The opening query always belongs to its own batch even when
+    # max_delay_us is 0 (it is appended before any deadline check).
+    counts = np.maximum(limits - np.arange(size), 1)
+    steps = np.minimum(counts, max_queries).tolist()
+    starts = []
     position = 0
     while position < size:
-        open_us = float(arrivals[position])
-        cutoff = open_us + max_delay_us
-        limit = int(np.searchsorted(arrivals, cutoff, side="left"))
-        # The opening query always belongs to its own batch even when
-        # max_delay_us is 0 (it is appended before any deadline check).
-        count = max(limit - position, 1)
-        if count >= max_queries:
-            starts.append(position)
-            opens.append(open_us)
-            formed.append(float(arrivals[position + max_queries - 1]))
-            triggers.append(0)
-            position += max_queries
-            continue
-        if limit >= size and not final:
-            # Every remaining arrival is inside the open batch's window
-            # and the batch is not full: its fate depends on queries
-            # beyond this chunk, so it carries over.
-            carry = columns.slice(position, size)
-            return _finish_batches(columns, starts, formed, opens,
-                                   triggers, position), carry
         starts.append(position)
-        opens.append(open_us)
-        formed.append(cutoff)
-        triggers.append(1)
-        position += count
-    return _finish_batches(columns, starts, formed, opens, triggers,
-                           size), None
-
-
-def _finish_batches(columns, starts, formed, opens, triggers, stop):
-    return BatchColumns(columns.slice(0, stop),
-                        np.asarray(starts, dtype=np.int64),
-                        np.asarray(formed, dtype=np.float64),
-                        np.asarray(opens, dtype=np.float64),
-                        np.asarray(triggers, dtype=np.uint8))
+        position += steps[position]
+    starts = np.asarray(starts, dtype=np.int64)
+    deadline = counts[starts] < max_queries
+    carry = None
+    if not final and len(starts) and deadline[-1] \
+            and limits[starts[-1]] >= size:
+        # Every remaining arrival is inside the open batch's window and
+        # the batch is not full: its fate depends on queries beyond
+        # this chunk, so it carries over.
+        carry = columns.slice(int(starts[-1]), size)
+        size = int(starts[-1])
+        starts, deadline = starts[:-1], deadline[:-1]
+    formed = cutoffs[starts]
+    full = starts[~deadline]
+    formed[~deadline] = arrivals[full + (max_queries - 1)]
+    return BatchColumns(columns.slice(0, size), starts, formed,
+                        arrivals[starts], deadline), carry

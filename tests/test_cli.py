@@ -7,6 +7,7 @@ errors -- the CLI previously had no coverage at all.
 """
 
 import json
+import math
 
 import pytest
 
@@ -52,6 +53,31 @@ class TestRun:
     def test_run_unknown_system_exits(self):
         with pytest.raises(SystemExit):
             main(["run", "--system", "definitely-not-registered"])
+
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_json_is_strict_json(self, command, monkeypatch, capsys):
+        # Non-finite values anywhere in the payload become null, never
+        # the invalid NaN/Infinity tokens.
+        from repro.core import kernels
+        from repro.systems.base import SystemResult
+
+        def reject(token):
+            raise ValueError("non-JSON constant %s" % token)
+
+        as_dict = SystemResult.as_dict
+        monkeypatch.setattr(
+            SystemResult, "as_dict",
+            lambda self: dict(as_dict(self), speedup_vs_baseline=math.nan))
+        monkeypatch.setattr(kernels, "describe",
+                            lambda: {"flavor": math.inf})
+        assert main([command] + RUN_ARGS[1:] + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=reject)
+        if command == "run":
+            assert payload["speedup_vs_baseline"] is None
+        else:
+            assert payload["profile"]["kernels"] == {"flavor": None}
 
 
 class TestServe:
@@ -247,6 +273,20 @@ class TestParseErrors:
             main(argv)
         assert excinfo.value.code == 2         # argparse usage error
         assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "profile", "serve"])
+    @pytest.mark.parametrize("flags", [
+        ["--tables", "0"], ["--tables", "-1"], ["--batch", "0"],
+        ["--pooling", "0"], ["--num-rows", "0"], ["--num-rows", "lots"],
+        ["--vector-bytes", "0"], ["--vector-bytes", "100"],
+        ["--vector-bytes", "-64"],
+    ])
+    def test_bad_workload_size_flags_exit_with_usage_error(
+            self, command, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command] + flags)
+        assert excinfo.value.code == 2         # argparse usage error
+        assert flags[0] in capsys.readouterr().err
 
     def test_bad_choices_exit_with_usage_error(self, capsys):
         for flags in (["--arrival", "bursty"],

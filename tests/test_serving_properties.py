@@ -1,0 +1,201 @@
+"""Property-based tests for the array-native serving path.
+
+Two invariants of the columns pipeline, checked over generated streams
+rather than hand-picked cases:
+
+* the array batcher (:func:`form_batch_columns`) forms exactly the
+  batches of the object :class:`BatchingFrontend`, and chunked formation
+  with a carried open batch equals one-shot formation for every legal
+  chunk size;
+* the interpolating service model answers a
+  :class:`~repro.serving.query_columns.BatchColumns`, a list of its
+  :class:`~repro.serving.query_columns.ColumnBatch` views and one batch
+  at a time with bitwise-equal times, after the same calibration
+  sequence.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.perf.service_model import InterpolatingServiceModel
+from repro.serving import (
+    BatchingFrontend,
+    QueryColumns,
+    ServingQuery,
+    form_batch_columns,
+    queries_from_traces,
+)
+from repro.traces import make_production_table_traces
+
+NUM_TABLES = 2
+TRACES = make_production_table_traces(num_lookups_per_table=400,
+                                      num_rows=1000,
+                                      num_tables=NUM_TABLES, seed=0)
+
+
+@st.composite
+def batching_cases(draw):
+    """(arrivals, max_queries, max_delay_us): non-decreasing arrivals
+    with ties and gaps of exactly ``max_delay_us``."""
+    max_queries = draw(st.integers(1, 16))
+    max_delay_us = draw(st.one_of(st.just(0.0), st.just(1e12),
+                                  st.floats(0.0, 200.0),
+                                  st.integers(1, 50).map(float)))
+    gap = st.one_of(st.just(0.0), st.just(max_delay_us),
+                    st.integers(0, 60).map(float),
+                    st.floats(0.0, 500.0))
+    gaps = draw(st.lists(gap, min_size=1, max_size=60))
+    start = draw(st.floats(0.0, 1e6))
+    return np.cumsum([start] + gaps), max_queries, max_delay_us
+
+
+def _queries(arrivals):
+    return [ServingQuery(query_id=index, arrival_us=float(arrival))
+            for index, arrival in enumerate(arrivals)]
+
+
+def _batch_rows(batch_columns):
+    """(query ids, open, formed, trigger) per batch, as plain values."""
+    ids = batch_columns.columns.query_id.tolist()
+    bounds = batch_columns.starts.tolist() + [len(ids)]
+    return [(ids[start:stop], float(open_us), float(formed_us),
+             int(trigger))
+            for start, stop, open_us, formed_us, trigger in zip(
+                bounds, bounds[1:], batch_columns.open_us,
+                batch_columns.formed_us, batch_columns.triggers)]
+
+
+class TestBatcherProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(batching_cases())
+    def test_columns_match_object_frontend(self, case):
+        arrivals, max_queries, max_delay_us = case
+        queries = _queries(arrivals)
+        frontend = BatchingFrontend(max_queries=max_queries,
+                                    max_delay_us=max_delay_us)
+        formed, carry = form_batch_columns(
+            QueryColumns.from_queries(queries), max_queries, max_delay_us)
+        assert carry is None
+        expected = [([query.query_id for query in batch.queries],
+                     batch.open_us, batch.formed_us,
+                     int(batch.trigger == "deadline"))
+                    for batch in frontend.form_batches(queries)]
+        assert _batch_rows(formed) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(batching_cases())
+    def test_chunked_with_carry_matches_oneshot(self, case):
+        arrivals, max_queries, max_delay_us = case
+        columns = QueryColumns.from_queries(_queries(arrivals))
+        oneshot, _ = form_batch_columns(columns, max_queries, max_delay_us)
+        size = len(columns)
+        for chunk in range(max_queries, max(size, max_queries) + 1):
+            rows, carry = [], None
+            for start in range(0, size, chunk):
+                stop = min(start + chunk, size)
+                piece = columns.slice(start, stop)
+                if carry is not None:
+                    piece = QueryColumns.concat([carry, piece])
+                formed, carry = form_batch_columns(
+                    piece, max_queries, max_delay_us, final=stop == size)
+                rows += _batch_rows(formed)
+            assert carry is None
+            assert rows == _batch_rows(oneshot), chunk
+
+
+class StubCluster:
+    """Cluster stand-in: a deterministic service time per batch, with
+    every calibration simulation recorded in call order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def service_time_us(self, batch):
+        self.calls.append((batch.size, batch.total_poolings,
+                           batch.total_lookups))
+        return (3.0 + 0.25 * batch.total_poolings
+                + 0.013 * batch.total_lookups + 0.7 * batch.num_requests)
+
+
+#: Per-table (poolings, pooling factor) of one query population.
+table_shape = st.tuples(st.integers(1, 4), st.integers(1, 12))
+
+
+@st.composite
+def service_cases(draw):
+    """Mixed-shape query streams plus an interp model configuration."""
+    populations = draw(st.lists(
+        st.tuples(st.lists(table_shape, min_size=NUM_TABLES,
+                           max_size=NUM_TABLES),
+                  st.integers(1, 24)),
+        min_size=1, max_size=3))
+    queries = []
+    for shapes, count in populations:
+        arrivals = draw(st.lists(st.floats(0.0, 2000.0), min_size=count,
+                                 max_size=count))
+        queries += queries_from_traces(
+            TRACES, count, arrivals,
+            batch_size=[poolings for poolings, _ in shapes],
+            pooling_factor=[factor for _, factor in shapes],
+            start_id=len(queries))
+    pooling_factors = draw(st.sampled_from(
+        [None, (4,), (2, 8), (1, 6, 12)]))
+    # The last grid point stays below most batches' total poolings, so
+    # most answers extrapolate.
+    batch_sizes = draw(st.sampled_from([(1, 2), (1, 2, 4), (1, 3, 8)]))
+    return (queries, draw(st.integers(1, 16)), pooling_factors,
+            batch_sizes)
+
+
+def _expected_rows(batches, pooling_factors):
+    """Grid rows in first-encounter order, shapes rounded with ``round``."""
+    rows = []
+    for batch in batches:
+        poolings = max(round(batch.total_poolings / batch.num_requests), 1)
+        factor = max(round(batch.total_lookups / batch.total_poolings), 1)
+        wanted = [factor]
+        if pooling_factors is not None:
+            # Bracketing rows, clamped to the nearest row off the grid.
+            below = [p for p in pooling_factors if p <= factor]
+            above = [p for p in pooling_factors if p >= factor]
+            wanted = sorted({below[-1] if below else above[0],
+                             above[0] if above else below[-1]})
+        for row in wanted:
+            if (poolings, row) not in rows:
+                rows.append((poolings, row))
+    return rows
+
+
+class TestServiceModelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(service_cases())
+    def test_paths_agree_bitwise(self, case):
+        queries, max_queries, pooling_factors, batch_sizes = case
+        columns = QueryColumns.from_queries(queries).sorted_by_arrival()
+        batch_columns, _ = form_batch_columns(columns, max_queries, 50.0)
+        paths = {
+            "columns": lambda model, cluster: model.service_times_us(
+                cluster, batch_columns),
+            "list": lambda model, cluster: model.service_times_us(
+                cluster, list(batch_columns)),
+            "single": lambda model, cluster: [
+                model.service_time_us(cluster, batch)
+                for batch in batch_columns],
+        }
+        results = {}
+        for name, answer in paths.items():
+            model = InterpolatingServiceModel(
+                TRACES, batch_sizes=batch_sizes,
+                pooling_factors=pooling_factors)
+            cluster = StubCluster()
+            times = np.asarray(answer(model, cluster), dtype=np.float64)
+            results[name] = (times.tobytes(), model.stats(),
+                             list(model._grid_for(cluster)),
+                             cluster.calls)
+        assert results["columns"] == results["list"] == results["single"]
+        times, stats, grid_keys, _ = results["columns"]
+        assert stats["exact_calls"] == len(grid_keys) * len(batch_sizes)
+        assert stats["interpolated_calls"] == len(batch_columns)
+        assert grid_keys == _expected_rows(batch_columns, pooling_factors)
+        assert np.isfinite(np.frombuffer(times)).all()
