@@ -709,7 +709,7 @@ def build_parser():
                             "from the node's measured service times)")
     serve.add_argument("--frontends", type=_positive_int, default=1,
                        help="concurrent dispatch servers on the batch queue")
-    serve.add_argument("--stream-chunk", type=int, default=None,
+    serve.add_argument("--stream-chunk", type=_positive_int, default=None,
                        help="generate and simulate queries in arrival-"
                             "ordered chunks of this many (memory stays "
                             "O(chunk); report identical to one-shot) -- "
@@ -720,7 +720,7 @@ def build_parser():
                        help="table placement: round-robin/hash over table "
                             "ids, or load-aware bin-packing by measured "
                             "per-table lookup load")
-    serve.add_argument("--replicas", type=int, default=1,
+    serve.add_argument("--replicas", type=_positive_int, default=1,
                        help="max replicas per hot table (>1 replicates "
                             "hot tables across nodes and routes to the "
                             "least-loaded replica)")

@@ -58,22 +58,49 @@ class Channel:
         """True if the command/address bus is free at ``cycle``."""
         return cycle >= self.next_ca_free
 
-    def earliest_issue_cycle(self, command_type, rank_index, bank_group,
-                             bank_index, current_cycle):
-        """Earliest legal issue cycle including the shared C/A and data bus."""
-        rank = self.rank(rank_index)
-        ready = rank.earliest_issue_cycle(
-            command_type, bank_group, bank_index, current_cycle)
-        ready = max(ready, self.next_ca_free)
-        if command_type in (CommandType.RD, CommandType.WR):
+    def next_command(self, rank, bank, row):
+        """Next command a read of ``row`` needs, and when it may issue.
+
+        ``rank`` is one of this channel's ranks and ``bank`` one of its
+        banks.  The command is RD on a row hit, ACT on a closed bank and
+        PRE on a row conflict.  The cycle is the earliest one at which
+        the bank, rank and shared-bus constraints all allow it; it may
+        lie in the past.
+        """
+        open_row = bank.open_row
+        if open_row == row:
+            command_type = CommandType.RD
+        elif open_row is None:
+            command_type = CommandType.ACT
+        else:
+            command_type = CommandType.PRE
+        return command_type, self._ready_cycle(command_type, rank, bank)
+
+    def _ready_cycle(self, command_type, rank, bank):
+        """Earliest legal issue cycle of a command to ``bank`` of
+        ``rank``, including the shared C/A and data bus."""
+        ready = rank.ready_cycle(command_type, bank)
+        if self.next_ca_free > ready:
+            ready = self.next_ca_free
+        if command_type is CommandType.RD or command_type is CommandType.WR:
             # The data burst (starting tCL after the column command) must not
             # overlap another rank's burst on the shared data bus.
             burst_start_floor = self.next_data_free
             if (self._last_data_rank is not None
-                    and self._last_data_rank != rank_index):
+                    and self._last_data_rank != rank.rank_index):
                 burst_start_floor += self.rank_to_rank_penalty
-            ready = max(ready, burst_start_floor - self.timing.tCL)
-        return max(ready, current_cycle)
+            burst_start_floor -= self.timing.tCL
+            if burst_start_floor > ready:
+                ready = burst_start_floor
+        return ready
+
+    def earliest_issue_cycle(self, command_type, rank_index, bank_group,
+                             bank_index, current_cycle):
+        """Earliest legal issue cycle including the shared C/A and data bus."""
+        rank = self.rank(rank_index)
+        bank = rank.bank(bank_group, bank_index)
+        return max(self._ready_cycle(command_type, rank, bank),
+                   current_cycle)
 
     def can_issue(self, command_type, rank_index, bank_group, bank_index,
                   current_cycle):

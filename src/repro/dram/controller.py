@@ -4,14 +4,18 @@ The controller owns one channel.  Requests arrive as
 :class:`~repro.dram.commands.MemoryRequest` objects; each 64-byte burst is
 scheduled with the First-Ready, First-Come-First-Served policy: among queued
 requests whose next DDR command is ready to issue, row-buffer hits win, ties
-broken by age.  An open-page policy keeps rows open after a read.
+broken by age.  An open-page policy keeps rows open after a read.  The
+clock jumps over cycles at which no queued request can issue (see
+:meth:`MemoryController.tick`), so results are cycle-exact at a cost that
+follows the commands issued, not the cycles elapsed.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.dram.address_mapping import SkylakeAddressMapping
 from repro.dram.channel import Channel
-from repro.dram.commands import CommandType, RequestType
+from repro.dram.commands import CommandType, MemoryRequest, RequestType
 from repro.dram.timing import DDR4_2400
 
 
@@ -43,14 +47,22 @@ class ControllerStats:
 
 
 class _PendingRequest:
-    """Book-keeping wrapper around a queued memory request."""
+    """Book-keeping wrapper around a queued memory request.
 
-    __slots__ = ("request", "address", "arrival_cycle", "outcome_recorded")
+    The request's address is decoded once, at enqueue: the wrapper keeps
+    the channel-wide rank index, the :class:`~repro.dram.rank.Rank` and
+    :class:`~repro.dram.bank.Bank` objects and the row it reads.
+    """
 
-    def __init__(self, request, address, arrival_cycle):
+    __slots__ = ("request", "rank_index", "rank", "bank", "row",
+                 "outcome_recorded")
+
+    def __init__(self, request, rank_index, rank, bank, row):
         self.request = request
-        self.address = address
-        self.arrival_cycle = arrival_cycle
+        self.rank_index = rank_index
+        self.rank = rank
+        self.bank = bank
+        self.row = row
         self.outcome_recorded = False
 
 
@@ -82,7 +94,7 @@ class MemoryController:
             raise ValueError("queue_depth must be positive")
         self.cycle = 0
         self._queue = []
-        self._waiting = []          # requests not yet admitted to the queue
+        self._waiting = deque()     # requests not yet admitted to the queue
         self.stats = ControllerStats()
 
     # ------------------------------------------------------------------ #
@@ -90,19 +102,27 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     def enqueue(self, request):
         """Submit a memory request; it is admitted when queue space allows."""
+        self._enqueue(request,
+                      self.address_mapping.map(request.physical_address))
+
+    def _enqueue(self, request, address):
+        """:meth:`enqueue` for a request whose ``address`` (a
+        :class:`~repro.dram.address_mapping.DramAddress`) is decoded."""
         if request.request_type is not RequestType.READ:
             raise NotImplementedError(
                 "the RecNMP study only exercises read traffic")
+        channel = self.channel
+        rank_index = channel.global_rank_index(address.dimm, address.rank)
+        rank = channel.rank(rank_index)
+        bank = rank.bank(address.bank_group, address.bank)
         request.arrival_cycle = self.cycle
-        self._waiting.append(request)
+        self._waiting.append(
+            _PendingRequest(request, rank_index, rank, bank, address.row))
         self._admit_waiting()
 
     def _admit_waiting(self):
         while self._waiting and len(self._queue) < self.queue_depth:
-            request = self._waiting.pop(0)
-            address = self.address_mapping.map(request.physical_address)
-            self._queue.append(
-                _PendingRequest(request, address, self.cycle))
+            self._queue.append(self._waiting.popleft())
 
     @property
     def pending_requests(self):
@@ -112,83 +132,83 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Scheduling                                                         #
     # ------------------------------------------------------------------ #
-    def _rank_of(self, address):
-        return self.channel.global_rank_index(address.dimm, address.rank)
-
-    def _next_command(self, pending):
-        """Return the next DDR command needed by a pending request."""
-        address = pending.address
-        rank_index = self._rank_of(address)
-        bank = self.channel.rank(rank_index).bank(address.bank_group,
-                                                  address.bank)
-        commands = bank.required_commands(address.row)
-        return commands[0]
-
-    def _is_row_hit(self, pending):
-        address = pending.address
-        rank_index = self._rank_of(address)
-        bank = self.channel.rank(rank_index).bank(address.bank_group,
-                                                  address.bank)
-        return bank.is_row_hit(address.row)
-
-    def _can_issue_next(self, pending):
-        command = self._next_command(pending)
-        address = pending.address
-        rank_index = self._rank_of(address)
-        return self.channel.can_issue(command, rank_index,
-                                      address.bank_group, address.bank,
-                                      self.cycle)
-
     def _select_request(self):
-        """FR-FCFS selection: ready row hits first, then oldest ready."""
-        best = None
-        best_is_hit = False
+        """FR-FCFS selection in one pass over the queue.
+
+        Each entry's next command and its earliest issue cycle come from
+        :meth:`Channel.next_command`.  Returns ``(pending, command,
+        None)`` for the oldest entry that is a ready row hit, else the
+        oldest ready entry.  When no entry can issue at ``self.cycle``
+        it returns ``(None, None, wake)`` with ``wake`` the earliest
+        cycle any entry can issue (``None`` for an empty queue).
+        """
+        cycle = self.cycle
+        next_command = self.channel.next_command
+        first = None
+        first_command = None
+        wake = None
         for pending in self._queue:
-            if not self._can_issue_next(pending):
+            if first is not None:
+                # A ready entry is already chosen; only a ready row hit
+                # can displace it.
+                if pending.bank.open_row != pending.row:
+                    continue
+                command, ready = next_command(pending.rank, pending.bank,
+                                              pending.row)
+                if ready <= cycle:
+                    return pending, command, None
                 continue
-            is_hit = self._is_row_hit(pending)
-            if best is None or (is_hit and not best_is_hit):
-                best = pending
-                best_is_hit = is_hit
-                if best_is_hit:
-                    # Queue order is arrival order, so the first ready hit is
-                    # already the oldest ready hit.
-                    break
-        return best
+            command, ready = next_command(pending.rank, pending.bank,
+                                          pending.row)
+            if ready <= cycle:
+                if command is CommandType.RD:
+                    # Queue order is arrival order, so the first ready hit
+                    # is the oldest ready hit.
+                    return pending, command, None
+                first = pending
+                first_command = command
+            elif wake is None or ready < wake:
+                wake = ready
+        if first is not None:
+            return first, first_command, None
+        return None, None, wake
 
     # ------------------------------------------------------------------ #
     # Simulation loop                                                    #
     # ------------------------------------------------------------------ #
     def tick(self):
-        """Advance one memory-clock cycle, issuing at most one command."""
+        """Issue at most one command and advance the clock (>= 1 cycle).
+
+        Admits waiting requests, then issues the FR-FCFS pick at the
+        current cycle and moves on one cycle.  When no queued request
+        can issue now, the clock jumps straight to the next cycle at
+        which one can: nothing in the bank, rank, bus or queue state
+        changes in between, so the skipped cycles are idle and the
+        results are cycle-exact.
+        """
         self._admit_waiting()
-        if not self.channel.ca_bus_free(self.cycle):
-            self.cycle += 1
+        pending, command, wake = self._select_request()
+        if pending is None:
+            self.cycle = self.cycle + 1 if wake is None else wake
             return
-        pending = self._select_request()
-        if pending is not None:
-            self._issue_for(pending)
+        self._issue_for(pending, command)
         self.cycle += 1
 
-    def _issue_for(self, pending):
-        address = pending.address
-        rank_index = self._rank_of(address)
-        bank = self.channel.rank(rank_index).bank(address.bank_group,
-                                                  address.bank)
+    def _issue_for(self, pending, command):
         if not pending.outcome_recorded:
             # Record hit/miss/conflict once, at the first command issued on
             # behalf of this request.
-            if bank.is_row_hit(address.row):
+            if command is CommandType.RD:
                 self.stats.row_hits += 1
-            elif bank.is_row_closed():
+            elif command is CommandType.ACT:
                 self.stats.row_misses += 1
             else:
                 self.stats.row_conflicts += 1
             pending.outcome_recorded = True
-        command = self._next_command(pending)
-        data_done = self.channel.issue(command, rank_index,
-                                       address.bank_group, address.bank,
-                                       address.row, self.cycle)
+        bank = pending.bank
+        data_done = self.channel.issue(command, pending.rank_index,
+                                       bank.bank_group, bank.bank_index,
+                                       pending.row, self.cycle)
         self.stats.commands_issued += 1
         if command is CommandType.RD:
             self._complete(pending, data_done)
@@ -220,19 +240,27 @@ class MemoryController:
         many requests are outstanding at once (mimicking a core's MSHR
         limit); ``None`` enqueues everything up front.
         """
-        from repro.dram.commands import MemoryRequest
+        mapping = self.address_mapping
+        trace = []
+        for address in physical_addresses:
+            address = int(address)
+            trace.append((address, mapping.map(address)))
+        return self._process_decoded(trace, batch_size)
 
-        addresses = list(physical_addresses)
+    def _process_decoded(self, trace, batch_size):
+        """:meth:`process_trace` over ``(physical address, DramAddress)``
+        pairs, for callers that already decoded the addresses."""
         if batch_size is None:
-            for address in addresses:
-                self.enqueue(MemoryRequest(physical_address=int(address)))
+            for address, decoded in trace:
+                self._enqueue(MemoryRequest(physical_address=address),
+                              decoded)
             return self.run_until_drained()
         index = 0
-        while index < len(addresses) or self.pending_requests:
-            while (index < len(addresses)
-                   and self.pending_requests < batch_size):
-                self.enqueue(
-                    MemoryRequest(physical_address=int(addresses[index])))
+        while index < len(trace) or self.pending_requests:
+            while index < len(trace) and self.pending_requests < batch_size:
+                address, decoded = trace[index]
+                self._enqueue(MemoryRequest(physical_address=address),
+                              decoded)
                 index += 1
             self.tick()
         self.stats.cycles_elapsed = self.cycle

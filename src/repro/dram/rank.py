@@ -53,41 +53,53 @@ class Rank:
     # ------------------------------------------------------------------ #
     # Rank-level constraints                                             #
     # ------------------------------------------------------------------ #
-    def _faw_ready_cycle(self):
-        """Earliest cycle a new ACT may issue under the tFAW constraint."""
-        if len(self._act_history) < 4:
-            return 0
-        return self._act_history[-4] + self.timing.tFAW
+    def ready_cycle(self, command_type, bank):
+        """Earliest cycle a command to ``bank`` (one of this rank's banks)
+        may issue under the bank and rank constraints; it may lie in the
+        past.
 
-    def _rrd_ready_cycle(self, bank_group):
-        """Earliest cycle a new ACT may issue under tRRD_S/tRRD_L."""
-        if self._last_act_cycle is None:
-            return 0
-        if bank_group == self._last_act_bank_group:
-            return self._last_act_cycle + self.timing.tRRD_L
-        return self._last_act_cycle + self.timing.tRRD_S
-
-    def _ccd_ready_cycle(self, bank_group):
-        """Earliest cycle a new column command may issue under tCCD_S/L."""
-        if self._last_col_cycle is None:
-            return 0
-        if bank_group == self._last_col_bank_group:
-            return self._last_col_cycle + self.timing.tCCD_L
-        return self._last_col_cycle + self.timing.tCCD_S
+        * ACT: the bank's tRC/tRP, tRRD_S/tRRD_L since the last ACT and
+          at most four ACTs within any tFAW window;
+        * RD/WR: the bank's tRCD/tCCD_L, tCCD_S/tCCD_L since the last
+          column command, and the rank's data bus free when the burst
+          starts (tCL after the command);
+        * PRE: the bank's tRAS/tRTP.
+        """
+        timing = self.timing
+        if command_type is CommandType.ACT:
+            ready = bank.next_act
+            history = self._act_history
+            if len(history) >= 4 and history[-4] + timing.tFAW > ready:
+                ready = history[-4] + timing.tFAW
+            if self._last_act_cycle is not None:
+                if bank.bank_group == self._last_act_bank_group:
+                    rrd = self._last_act_cycle + timing.tRRD_L
+                else:
+                    rrd = self._last_act_cycle + timing.tRRD_S
+                if rrd > ready:
+                    ready = rrd
+            return ready
+        if command_type is CommandType.RD or command_type is CommandType.WR:
+            ready = bank.next_read
+            if self._last_col_cycle is not None:
+                if bank.bank_group == self._last_col_bank_group:
+                    ccd = self._last_col_cycle + timing.tCCD_L
+                else:
+                    ccd = self._last_col_cycle + timing.tCCD_S
+                if ccd > ready:
+                    ready = ccd
+            data = self.next_data_bus_free - timing.tCL
+            return data if data > ready else ready
+        if command_type is CommandType.PRE:
+            return bank.next_pre
+        raise ValueError("unsupported command %r" % (command_type,))
 
     def earliest_issue_cycle(self, command_type, bank_group, bank_index,
                              current_cycle):
         """Earliest legal issue cycle combining bank and rank constraints."""
-        bank = self.bank(bank_group, bank_index)
-        ready = bank.earliest_issue_cycle(command_type, current_cycle)
-        if command_type is CommandType.ACT:
-            ready = max(ready, self._faw_ready_cycle(),
-                        self._rrd_ready_cycle(bank_group))
-        elif command_type in (CommandType.RD, CommandType.WR):
-            ready = max(ready, self._ccd_ready_cycle(bank_group),
-                        # data bus must be free when the burst starts
-                        self.next_data_bus_free - self.timing.tCL)
-        return max(ready, current_cycle)
+        return max(self.ready_cycle(command_type,
+                                    self.bank(bank_group, bank_index)),
+                   current_cycle)
 
     def can_issue(self, command_type, bank_group, bank_index, current_cycle):
         """True if the command may legally issue at ``current_cycle``."""

@@ -112,11 +112,6 @@ class DramSystem:
         ]
 
     # ------------------------------------------------------------------ #
-    def channel_of(self, physical_address):
-        """Channel index a physical address maps to."""
-        mapping = self.controllers[0].address_mapping
-        return mapping.map(physical_address).channel
-
     def run_trace(self, physical_addresses, request_bytes=64,
                   outstanding_per_channel=None):
         """Run a read trace through the system and return aggregate results.
@@ -141,9 +136,13 @@ class DramSystem:
             base = int(address)
             for burst in range(bursts_per_request):
                 addresses.append(base + 64 * burst)
+        # Decode every burst once: the channel field routes it and the
+        # rest is handed to that channel's controller.
+        mapping = self.controllers[0].address_mapping
         per_channel = [[] for _ in range(self.config.num_channels)]
         for address in addresses:
-            per_channel[self.channel_of(address)].append(address)
+            decoded = mapping.map(address)
+            per_channel[decoded.channel].append((address, decoded))
 
         per_channel_stats = []
         max_cycles = 0
@@ -155,8 +154,8 @@ class DramSystem:
         for controller, channel_trace in zip(self.controllers, per_channel):
             if not channel_trace:
                 continue
-            stats = controller.process_trace(
-                channel_trace, batch_size=outstanding_per_channel)
+            stats = controller._process_decoded(
+                channel_trace, outstanding_per_channel)
             per_channel_stats.append(stats)
             max_cycles = max(max_cycles, stats.cycles_elapsed)
             total_latency += stats.total_latency_cycles

@@ -146,8 +146,11 @@ class TestServe:
         assert streamed == oneshot
 
     def test_serve_stream_chunk_below_max_batch_exits(self):
-        with pytest.raises(SystemExit, match="--max-batch"):
+        with pytest.raises(SystemExit, match="--max-batch") as excinfo:
             main(SERVE_ARGS + ["--stream-chunk", "2"])
+        # A positive chunk below --max-batch is a run error, not a usage
+        # error: the message exits with status 1.
+        assert str(excinfo.value.code).startswith("error: --stream-chunk")
 
     def test_serve_stream_chunk_rejects_load_aware(self):
         with pytest.raises(SystemExit, match="load-aware"):
@@ -266,6 +269,9 @@ class TestParseErrors:
         SERVE_ARGS + ["--nodes", "0"], SERVE_ARGS + ["--nodes", "1.5"],
         SERVE_ARGS + ["--queries", "0"], SERVE_ARGS + ["--max-batch", "0"],
         SERVE_ARGS + ["--frontends", "0"],
+        SERVE_ARGS + ["--replicas", "0"], SERVE_ARGS + ["--replicas", "-1"],
+        SERVE_ARGS + ["--stream-chunk", "0"],
+        SERVE_ARGS + ["--stream-chunk", "-64"],
         ["run", "--jobs", "0"], ["profile", "--jobs", "0"],
     ])
     def test_bad_int_flags_exit_with_usage_error(self, argv, capsys):

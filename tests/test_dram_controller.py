@@ -1,7 +1,10 @@
 """Tests for repro.dram.controller."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dram.address_mapping import MemoryGeometry, SkylakeAddressMapping
 from repro.dram.commands import MemoryRequest, RequestType
 from repro.dram.controller import MemoryController
 from repro.dram.timing import DDR4_2400
@@ -97,3 +100,119 @@ class TestFRFCFS:
         stats = controller.process_trace(addresses)
         assert 0.9 <= stats.row_hit_rate <= 1.0 or stats.row_hits >= 28
         assert stats.average_latency_cycles > 0
+
+
+# --------------------------------------------------------------------- #
+# Properties over generated traces and configurations                   #
+# --------------------------------------------------------------------- #
+#: 4 KiB pages repeated at 1 GiB offsets: same bank, different rows, so
+#: generated traces mix row hits, misses and conflicts.
+_HOT_PAGES = [base + (offset << 30) for base in (0, 5 * 4096, 9 * 4096)
+              for offset in range(3)]
+
+
+@st.composite
+def controller_cases(draw):
+    """(controller, requests, outstanding cap): 1-2 DIMMs x 1-2 ranks,
+    any queue depth, random blocks mixed with hot-page blocks."""
+    dimms = draw(st.integers(1, 2))
+    ranks = draw(st.integers(1, 2))
+    queue_depth = draw(st.integers(1, 32))
+    cap = draw(st.one_of(st.none(), st.integers(1, 32)))
+    hot = st.builds(lambda page, block: page + 64 * block,
+                    st.sampled_from(_HOT_PAGES), st.integers(0, 63))
+    cold = st.integers(0, 1 << 24).map(lambda block: 64 * block)
+    addresses = draw(st.lists(st.one_of(hot, cold), min_size=1,
+                              max_size=60))
+    geometry = MemoryGeometry(num_channels=1, dimms_per_channel=dimms,
+                              ranks_per_dimm=ranks)
+    controller = MemoryController(
+        num_dimms=dimms, ranks_per_dimm=ranks, queue_depth=queue_depth,
+        address_mapping=SkylakeAddressMapping(geometry))
+    requests = [MemoryRequest(physical_address=address)
+                for address in addresses]
+    return controller, requests, cap
+
+
+def _next_commands(controller, requests):
+    """``(command, rank, bank group, bank)`` each request needs next,
+    from the public bank state."""
+    channel = controller.channel
+    commands = []
+    for request in requests:
+        address = controller.address_mapping.map(request.physical_address)
+        rank_index = channel.global_rank_index(address.dimm, address.rank)
+        bank = channel.rank(rank_index).bank(address.bank_group,
+                                             address.bank)
+        commands.append((bank.required_commands(address.row)[0],
+                         rank_index, address.bank_group, address.bank))
+    return commands
+
+
+def _drive(controller, requests, cap, on_tick):
+    """Enqueue ``requests`` in order, at most ``cap`` outstanding, and
+    tick by hand until drained; ``on_tick(old_cycle, old_commands,
+    queued)`` runs after every tick, ``queued`` being the requests in
+    the read queue."""
+    enqueued = []
+    index = 0
+    limit = len(requests) if cap is None else cap
+    while index < len(requests) or controller.pending_requests:
+        while index < len(requests) and \
+                controller.pending_requests < limit:
+            controller.enqueue(requests[index])
+            enqueued.append(requests[index])
+            index += 1
+        old_cycle = controller.cycle
+        old_commands = controller.stats.commands_issued
+        controller.tick()
+        # Admission is FIFO and fills every free slot, so the queue holds
+        # the oldest ``queue_depth`` outstanding requests.
+        outstanding = [request for request in enqueued
+                       if request.completion_cycle < 0]
+        on_tick(old_cycle, old_commands,
+                outstanding[:controller.queue_depth])
+
+
+class TestControllerProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(controller_cases())
+    def test_every_request_completes_once_and_bus_is_never_shared(
+            self, case):
+        controller, requests, cap = case
+        _drive(controller, requests, cap, lambda *_: None)
+        stats = controller.stats
+        assert stats.requests_completed == len(requests)
+        assert len(stats.latencies) == len(requests)
+        assert all(request.completion_cycle >= 0 for request in requests)
+        floor = DDR4_2400.tCL + DDR4_2400.tBL
+        assert all(request.latency_cycles >= floor for request in requests)
+        completions = sorted(request.completion_cycle
+                             for request in requests)
+        assert all(later - earlier >= DDR4_2400.tBL
+                   for earlier, later in zip(completions, completions[1:]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(controller_cases())
+    def test_skipped_cycles_are_idle(self, case):
+        controller, requests, cap = case
+        channel = controller.channel
+
+        def check(old_cycle, old_commands, queued):
+            issued = controller.stats.commands_issued - old_commands
+            if issued:
+                assert issued == 1
+                assert controller.cycle == old_cycle + 1
+                return
+            assert controller.cycle > old_cycle
+            commands = _next_commands(controller, queued)
+            for cycle in range(old_cycle, controller.cycle):
+                for command in commands:
+                    assert not channel.can_issue(*command, cycle)
+            if commands:
+                # The jump lands on the first cycle a command can issue.
+                assert any(channel.can_issue(*command, controller.cycle)
+                           for command in commands)
+
+        _drive(controller, requests, cap, check)
+        assert controller.stats.requests_completed == len(requests)

@@ -10,7 +10,14 @@ a fixed set of seeded inputs:
 * ``event_queues.json`` -- FIFO and EDF starts/completes and the peak
   queue depth of :func:`simulate_batch_queue`;
 * ``admission.json`` -- the admit masks of every built-in admission
-  controller mode.
+  controller mode;
+* ``ddr4_baseline.json`` -- cycles, per-channel row hit/miss/conflict
+  counts, commands issued, cycles elapsed and a digest of the
+  per-request latencies of the FR-FCFS DDR4 baseline
+  (:meth:`DramSystem.run_trace` over channels x DIMMs x ranks x queue
+  depth x outstanding cap x request size x trace shape, plus bare
+  :meth:`MemoryController.run_until_drained` runs with more requests
+  than queue slots).
 
 The replay runs under the *ambient* kernel flavor (whatever
 ``REPRO_DISABLE_KERNELS`` and the numba probe selected at import), so
@@ -26,6 +33,8 @@ results) from the repository root::
     PYTHONPATH=src python tests/test_golden_fixtures.py
 """
 
+import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -39,6 +48,9 @@ from repro.core.instruction import (
     NMPInstruction,
 )
 from repro.core.rank_nmp import RankNMP, RankNMPConfig
+from repro.dram.commands import MemoryRequest
+from repro.dram.controller import MemoryController
+from repro.dram.system import DramSystem, DramSystemConfig
 from repro.serving.admission import (
     DeadlineAwareAdmission,
     NoAdmission,
@@ -78,6 +90,17 @@ ADMISSION_CONTROLLERS = {
 ADMISSION_SEEDS = (30, 31)
 #: (num_servers, est_query_us, est_batch_us) of every admission case.
 ADMISSION_MODEL = (3, 25.0, 200.0)
+
+DDR4_TRACES = ("random", "sequential", "hot-row")
+DDR4_TRACE_LENGTH = 32
+#: (channels, DIMMs per channel, ranks per DIMM, trace, request bytes);
+#: each case runs every (queue depth, outstanding cap) pair below.
+DDR4_CASES = list(itertools.product((1, 4), (1, 4), (1, 2), DDR4_TRACES,
+                                    (64, 128, 256)))
+DDR4_QUEUES = list(itertools.product((1, 4, 32), (None, 1, 8, 32)))
+#: (trace, queue depth) of the bare-controller drains: 48 requests
+#: enqueued up front, so most of them wait for a queue slot.
+CONTROLLER_CASES = list(itertools.product(DDR4_TRACES, (1, 4, 8)))
 
 
 # --------------------------------------------------------------------- #
@@ -130,6 +153,24 @@ def _admission_queries(seed, size=500):
                                     arrival_us=float(arrivals[index]),
                                     deadline_us=deadline))
     return queries
+
+
+def _ddr4_trace(kind, length, stride, seed=0):
+    """Physical byte addresses: uniform random blocks, one sequential
+    stream of ``stride``-byte requests, or random blocks of six hot
+    4 KiB pages.  The hot pages are two bases each repeated at 1 GiB
+    offsets, which keeps the bank and changes the row under every
+    geometry here, so the stream mixes row hits with row conflicts."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return (rng.integers(0, 1 << 24, size=length) * 64).tolist()
+    if kind == "sequential":
+        return [7 * 4096 + index * stride for index in range(length)]
+    hot = np.array([base + (offset << 30)
+                    for base in rng.integers(0, 1 << 14, size=2) * 4096
+                    for offset in range(3)])
+    return (hot[rng.integers(0, hot.size, size=length)]
+            + 64 * rng.integers(0, 64, size=length)).tolist()
 
 
 # --------------------------------------------------------------------- #
@@ -206,6 +247,58 @@ def _replay_admission(name, seed):
     return _mask_string(loop_mask), _mask_string(vector_mask)
 
 
+def _latency_digest(latencies):
+    text = ",".join(str(int(latency)) for latency in latencies)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _controller_stats(stats):
+    return {
+        "row_hits": stats.row_hits,
+        "row_misses": stats.row_misses,
+        "row_conflicts": stats.row_conflicts,
+        "commands_issued": stats.commands_issued,
+        "cycles_elapsed": stats.cycles_elapsed,
+        "requests": stats.requests_completed,
+        "latency_digest": _latency_digest(stats.latencies),
+    }
+
+
+def _replay_ddr4(channels, dimms, ranks, kind, request_bytes):
+    """One :meth:`DramSystem.run_trace` per (queue depth, outstanding
+    cap), keyed ``"<depth>/<cap>"``."""
+    addresses = _ddr4_trace(kind, DDR4_TRACE_LENGTH, request_bytes)
+    runs = {}
+    for queue_depth, outstanding in DDR4_QUEUES:
+        config = DramSystemConfig(num_channels=channels,
+                                  dimms_per_channel=dimms,
+                                  ranks_per_dimm=ranks,
+                                  queue_depth=queue_depth)
+        result = DramSystem(config).run_trace(
+            addresses, request_bytes=request_bytes,
+            outstanding_per_channel=outstanding)
+        runs["%d/%s" % (queue_depth, outstanding)] = {
+            "cycles": result.cycles,
+            "channels": [_controller_stats(stats)
+                         for stats in result.per_channel_stats],
+        }
+    return runs
+
+
+def _replay_controller(kind, queue_depth):
+    """A bare controller draining 48 requests enqueued at cycle 0;
+    also pins every request's completion cycle in enqueue order."""
+    controller = MemoryController(queue_depth=queue_depth)
+    requests = [MemoryRequest(physical_address=int(address))
+                for address in _ddr4_trace(kind, 48, 64, seed=1)]
+    for request in requests:
+        controller.enqueue(request)
+    stats = _controller_stats(controller.run_until_drained())
+    stats["completion_digest"] = _latency_digest(
+        request.completion_cycle for request in requests)
+    return stats
+
+
 def _case_key(*parts):
     return "-".join(str(part) for part in parts)
 
@@ -245,6 +338,23 @@ def test_admission_masks(name, seed):
     assert vector_mask == expected
 
 
+@pytest.mark.parametrize("channels,dimms,ranks,kind,request_bytes",
+                         DDR4_CASES)
+def test_ddr4_baseline_run_trace(channels, dimms, ranks, kind,
+                                 request_bytes):
+    expected = _load("ddr4_baseline.json")[_case_key(
+        "system", channels, dimms, ranks, kind, request_bytes)]
+    assert _replay_ddr4(channels, dimms, ranks, kind,
+                        request_bytes) == expected
+
+
+@pytest.mark.parametrize("kind,queue_depth", CONTROLLER_CASES)
+def test_ddr4_controller_drain(kind, queue_depth):
+    expected = _load("ddr4_baseline.json")[_case_key(
+        "controller", kind, queue_depth)]
+    assert _replay_controller(kind, queue_depth) == expected
+
+
 # --------------------------------------------------------------------- #
 # Regeneration                                                          #
 # --------------------------------------------------------------------- #
@@ -278,6 +388,12 @@ def regenerate():
                                  % (name, seed))
             admission[_case_key(name, seed)] = loop_mask
     _write("admission.json", admission)
+    ddr4 = {_case_key("system", *case): _replay_ddr4(*case)
+            for case in DDR4_CASES}
+    ddr4.update({_case_key("controller", kind, queue_depth):
+                 _replay_controller(kind, queue_depth)
+                 for kind, queue_depth in CONTROLLER_CASES})
+    _write("ddr4_baseline.json", ddr4)
 
 
 if __name__ == "__main__":
