@@ -176,8 +176,7 @@ def compute_validation():
     # simulate the *distinct* compositions in the stream (the trace pool
     # cycles, so many batches repeat); charge it for those alone.
     distinct_batches = len({
-        tuple(query.fingerprint() for query in batch.queries)
-        for batch in long_batches})
+        tuple(batch.query_fingerprints()) for batch in long_batches})
     exact_mode_seconds = exact_seconds_per_batch * distinct_batches
     long_run = {
         "num_queries": LONG_RUN_QUERIES,

@@ -5,13 +5,13 @@ query construction, admission-free batching, the event loop and report
 summarisation -- at 100k and 1M queries per run (interpolating service
 model, warm service cache) under the ambient kernel flavor (the jitted
 event-loop kernels with numba, the legacy ``heapq`` loops without),
-against the pre-PR baseline: materialised ``ServingQuery`` objects
-driven through the legacy heap-based event loop
-(``force_flavor("disabled")``).
+against the object-input baseline: materialised ``ServingQuery``
+objects (converted to columns once at the ``simulate`` boundary) driven
+through the heap-based event loop (``force_flavor("disabled")``).
 
 The streamed-columns runs go through ``simulate(stream_chunk=...)`` so
 memory stays O(chunk); their reports are asserted byte-identical to the
-legacy object path and to a one-shot materialised run.  Recorded throughput floors live in the
+object-input run and to a one-shot materialised run.  Recorded throughput floors live in the
 ``serving_scale`` block of ``perf_reference.json`` next to the exact-sim
 floors and are enforced with the same loose ``REGRESSION_FLOOR``
 mechanism (refresh with ``REPRO_PERF_WRITE_REFERENCE=1``).
@@ -75,7 +75,7 @@ NODE_SYSTEM = "recnmp-opt"
 ENGINE = "event"
 
 #: Full-mode speedup targets at the largest size, streamed columns vs
-#: the legacy object path.  The columns representation alone must clear
+#: the object-input baseline.  The columns representation alone must clear
 #: 1.5x; with the jitted kernels (numba the active flavor) 5x.
 TWIN_SPEEDUP_TARGET = 1.5
 NUMBA_SPEEDUP_TARGET = 5.0
@@ -119,7 +119,7 @@ def compute_serving_scale():
             return result, time.perf_counter() - start
 
         def legacy_run(num_queries):
-            """Pre-PR baseline: object queries, heap event loop."""
+            """Baseline: object queries, heap event loop."""
             with force_flavor("disabled"):
                 start = time.perf_counter()
                 queries = queries_from_traces(
@@ -153,8 +153,8 @@ def compute_serving_scale():
                     2)}
             assert dataclasses.asdict(columns_report) \
                 == dataclasses.asdict(baseline_report), \
-                "streamed columns report diverged from the legacy " \
-                "object path at %d queries" % num_queries
+                "streamed columns report diverged from the object-input " \
+                "run at %d queries" % num_queries
             report["sizes"][str(num_queries)] = entry
 
         # Chunked streaming is byte-identical to a one-shot materialised
@@ -249,8 +249,8 @@ def bench_serving_scale(benchmark):
             else TWIN_SPEEDUP_TARGET
         speedup = largest["runs"]["columns"]["speedup_vs_legacy"]
         assert speedup >= target, \
-            "streamed columns (%s flavor) %.2fx vs the legacy object " \
-            "path at %d queries is below the %.1fx target" \
+            "streamed columns (%s flavor) %.2fx vs the object-input " \
+            "baseline at %d queries is below the %.1fx target" \
             % (KERNEL_FLAVOR, speedup, max(SIZES), target)
 
     obs = report.get("obs")

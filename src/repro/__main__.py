@@ -86,6 +86,7 @@ import cProfile
 import io
 import json
 import math
+import os
 import pstats
 import sys
 
@@ -266,6 +267,26 @@ _positive_int = _int_arg("an integer >= 1", lambda value: value >= 1)
 #: Embedding vectors occupy whole 64-byte DRAM bursts.
 _VECTOR_BYTES = _int_arg("a positive multiple of 64",
                          lambda value: value > 0 and value % 64 == 0)
+
+
+def _output_path(text):
+    """argparse ``type=`` for an output file the run writes at its end.
+
+    The file's directory must exist and be writable, checked before any
+    simulation runs: a typo in ``--trace out/t.json`` is a usage error
+    (exit code 2), not a ``FileNotFoundError`` traceback after the
+    whole run.
+    """
+    directory = os.path.dirname(os.path.abspath(text))
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError("%r is a directory" % text)
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            "directory %r does not exist" % directory)
+    if not os.access(directory, os.W_OK):
+        raise argparse.ArgumentTypeError(
+            "directory %r is not writable" % directory)
+    return text
 
 
 def _json_safe(value):
@@ -667,11 +688,13 @@ def build_parser():
     # serve spells the workload locality flag --workload-trace so that
     # --trace can name the Perfetto trace output file.
     add_workload_args(serve, trace_flag="--workload-trace")
-    serve.add_argument("--trace", default=None, metavar="PATH",
+    serve.add_argument("--trace", type=_output_path, default=None,
+                       metavar="PATH",
                        help="write a Perfetto-loadable Chrome trace of "
                             "the run (query lifecycle spans, batch "
                             "slices, queue-depth counters) to PATH")
-    serve.add_argument("--metrics-json", default=None, metavar="PATH",
+    serve.add_argument("--metrics-json", type=_output_path, default=None,
+                       metavar="PATH",
                        help="dump the cluster metrics-registry snapshot "
                             "as JSON to PATH (render with 'python -m "
                             "repro report PATH')")

@@ -138,7 +138,7 @@ class InterpolatingServiceModel(ServiceTimeModel):
     def _calibration_row(self, cluster, poolings, pooling_factor):
         """Simulated service times over the batch-size grid at one shape."""
         from repro.serving.arrival import queries_from_traces
-        from repro.serving.batcher import QueryBatch
+        from repro.serving.query_columns import ColumnBatch
 
         shortest = min(len(trace) for trace in self.traces)
         if poolings * pooling_factor > shortest:
@@ -152,7 +152,7 @@ class InterpolatingServiceModel(ServiceTimeModel):
             queries = queries_from_traces(
                 self.traces, batch_size, [0.0] * batch_size,
                 batch_size=poolings, pooling_factor=pooling_factor)
-            batch = QueryBatch(queries=queries, open_us=0.0, formed_us=0.0)
+            batch = ColumnBatch.from_queries(queries)
             xs.append(float(batch.total_poolings))
             values.append(cluster.service_time_us(batch))
             self._exact_calls += 1
@@ -218,22 +218,23 @@ class InterpolatingServiceModel(ServiceTimeModel):
         """Per-batch service times as a float64 array (the engine-facing
         call).
 
-        :class:`~repro.serving.query_columns.BatchColumns` are reduced
-        per batch with ``np.add.reduceat`` on the batch offsets; any
-        other batch sequence contributes each batch's cached aggregates.
-        Both feed :meth:`_answer`.
+        ``batches`` is a :class:`~repro.serving.query_columns
+        .BatchColumns` or a list of batch views (converted once by
+        :func:`~repro.serving.query_columns.as_batch_columns`); the
+        per-query aggregates are reduced per batch with
+        ``np.add.reduceat`` on the batch offsets and fed to
+        :meth:`_answer`.
         """
-        if getattr(batches, "is_columns", False):
-            columns = batches.columns
-            aggregates = [np.add.reduceat(array, batches.starts)
-                          for array in (columns.poolings, columns.lookups,
-                                        columns.num_requests)]
-        else:
-            aggregates = np.array(
-                [(batch.total_poolings, batch.total_lookups,
-                  batch.num_requests) for batch in batches],
-                dtype=np.int64).reshape(-1, 3).T
-        return self._answer(cluster, *aggregates)
+        from repro.serving.query_columns import as_batch_columns
+
+        batches = as_batch_columns(batches)
+        if not len(batches):
+            return np.empty(0, dtype=np.float64)
+        columns = batches.columns
+        return self._answer(cluster, *(
+            np.add.reduceat(array, batches.starts)
+            for array in (columns.poolings, columns.lookups,
+                          columns.num_requests)))
 
     def _answer(self, cluster, total_poolings, total_lookups,
                 num_requests):
@@ -247,8 +248,6 @@ class InterpolatingServiceModel(ServiceTimeModel):
         answered with one vectorised row interpolation.
         """
         count = total_poolings.shape[0]
-        if not count:
-            return np.empty(0, dtype=np.float64)
         if not num_requests.all():
             raise ValueError(
                 "batch carries no SLS requests; cannot derive a "

@@ -9,7 +9,7 @@ admitted stream stays serveable.
 
 Controllers are causal and deterministic: decisions depend only on the
 query stream up to the arrival (never on future service times), driven by
-a *fluid backlog model* maintained by :func:`apply_admission` -- admitted
+a *fluid backlog model* maintained by :class:`AdmissionFilter` -- admitted
 queries deposit an estimated per-query service cost, ``num_servers``
 frontends drain it in parallel, and the predicted wait at an arrival is
 the remaining work divided by the drain rate.  The estimate comes from
@@ -31,13 +31,20 @@ Registry (``ADMISSION_CONTROLLERS`` / :func:`resolve_admission`):
 
 import abc
 
+import numpy as np
+
+from repro.serving import event_kernels
+from repro.serving.query_columns import QueryColumns
+
 
 class AdmissionController(abc.ABC):
     """Strategy interface: admit or shed one arriving query.
 
     Subclasses read the shared capacity estimates installed by
-    :meth:`configure` (called once per run by :func:`apply_admission`)
-    and keep any per-run state reset by :meth:`reset`.
+    :meth:`configure` (called once per run by :class:`AdmissionFilter`)
+    and keep any per-run state reset by :meth:`reset`.  ``admit``
+    receives each query as a
+    :class:`~repro.serving.query_columns.ColumnQueryView`.
     """
 
     #: Registry name of the controller (also recorded in report extras).
@@ -237,12 +244,10 @@ def admission_kernel_spec(controller, capacity_qps):
     :func:`repro.serving.event_kernels.admission_mask`, or ``None`` when
     ``controller`` is not an *exact* instance of one of the four
     built-in classes -- subclasses may override ``admit``/``reset``
-    arbitrarily, so they stay on the per-query object path.
+    arbitrarily, so they stay on the per-query controller loop.
     ``capacity_qps`` resolves the token bucket's default refill rate,
     mirroring :meth:`TokenBucketAdmission.configure`.
     """
-    from repro.serving import event_kernels
-
     kind = type(controller)
     if kind is NoAdmission:
         return (event_kernels.ADMISSION_MODE_NONE, 0.0, 0.0, 0.0)
@@ -263,41 +268,90 @@ def admission_kernel_spec(controller, capacity_qps):
     return None
 
 
+class AdmissionFilter:
+    """One run's admission stage over sorted query columns.
+
+    Configures and resets ``controller`` for the run, then holds the
+    fluid backlog model: admitted queries add ``est_query_us`` of work,
+    ``num_servers`` frontends drain it in parallel, and each decision
+    sees the predicted wait at its arrival.  The model's state is
+    carried across :meth:`mask` calls, so a stream filtered chunk by
+    chunk decides exactly like one pass over it.  Built-in controllers
+    run the vectorised :func:`~repro.serving.event_kernels
+    .admission_mask` when a kernel flavor is active; everything else
+    runs the per-query controller loop of :meth:`mask`.
+    """
+
+    def __init__(self, controller, num_servers, est_query_us,
+                 est_batch_us, first_arrival_us):
+        if num_servers < 1:
+            raise ValueError("num_servers must be >= 1")
+        if est_query_us <= 0:
+            raise ValueError("est_query_us must be positive")
+        if est_batch_us <= 0:
+            raise ValueError("est_batch_us must be positive")
+        capacity_qps = num_servers / est_query_us * 1e6
+        controller.configure(capacity_qps, est_query_us, est_batch_us,
+                             num_servers)
+        controller.reset()
+        spec = admission_kernel_spec(controller, capacity_qps)
+        if event_kernels.active_flavor() == "disabled":
+            spec = None
+        self.controller = controller
+        self.num_servers = int(num_servers)
+        self.est_query_us = est_query_us
+        self.est_batch_us = est_batch_us
+        self._spec = spec
+        self._state = event_kernels.new_admission_state(
+            first_arrival_us, 0.0 if spec is None else spec[3])
+
+    def mask(self, columns):
+        """Admit mask of the next sorted chunk of the run's stream."""
+        arrivals = columns.arrival_us
+        if self._spec is not None:
+            mode, param0, param1, _ = self._spec
+            return event_kernels.admission_mask(
+                arrivals, columns.deadline_us - arrivals, self._state,
+                self.num_servers, self.est_query_us, self.est_batch_us,
+                mode, param0, param1)
+        state = self._state
+        backlog_us = float(state[event_kernels.ADM_BACKLOG_US])
+        last_us = float(state[event_kernels.ADM_LAST_US])
+        num_servers = self.num_servers
+        admit = self.controller.admit
+        mask = np.empty(len(columns), dtype=bool)
+        for position, now_us in enumerate(arrivals.tolist()):
+            backlog_us = max(0.0,
+                             backlog_us - (now_us - last_us) * num_servers)
+            last_us = now_us
+            admitted = admit(columns.view(position), now_us,
+                             backlog_us / num_servers)
+            mask[position] = admitted
+            if admitted:
+                backlog_us += self.est_query_us
+        state[event_kernels.ADM_BACKLOG_US] = backlog_us
+        state[event_kernels.ADM_LAST_US] = last_us
+        return mask
+
+
 def apply_admission(queries, controller, num_servers, est_query_us,
                     est_batch_us=None):
-    """Filter a query stream through an admission controller.
+    """Filter a query list through an admission controller.
 
-    Processes queries in arrival order (ties broken by query id),
-    maintaining the fluid backlog model: admitted queries add
-    ``est_query_us`` of work, ``num_servers`` frontends drain it in
-    parallel, and each decision sees the predicted wait at its arrival.
-    Returns ``(admitted, shed)`` -- two lists partitioning the input, in
-    arrival order.
+    Converts the queries to columns once and runs them through one
+    :class:`AdmissionFilter` in arrival order (ties broken by query
+    id).  Returns ``(admitted, shed)`` -- two lists partitioning the
+    input objects, in arrival order.
     """
-    if num_servers < 1:
-        raise ValueError("num_servers must be >= 1")
-    if est_query_us <= 0:
-        raise ValueError("est_query_us must be positive")
+    queries = list(queries)
+    columns = QueryColumns.from_queries(queries)
+    order = np.lexsort((columns.query_id, columns.arrival_us))
+    columns = columns.take(order)
+    first_arrival_us = float(columns.arrival_us[0]) if len(columns) \
+        else 0.0
     if est_batch_us is None:
         est_batch_us = est_query_us
-    if est_batch_us <= 0:
-        raise ValueError("est_batch_us must be positive")
-    ordered = sorted(queries, key=lambda q: (q.arrival_us, q.query_id))
-    capacity_qps = num_servers / est_query_us * 1e6
-    controller.configure(capacity_qps, est_query_us, est_batch_us,
-                         num_servers)
-    controller.reset()
-    admitted, shed = [], []
-    backlog_us = 0.0                    # outstanding work across servers
-    last_us = ordered[0].arrival_us if ordered else 0.0
-    for query in ordered:
-        backlog_us = max(
-            0.0, backlog_us - (query.arrival_us - last_us) * num_servers)
-        last_us = query.arrival_us
-        wait_us = backlog_us / num_servers
-        if controller.admit(query, query.arrival_us, wait_us):
-            admitted.append(query)
-            backlog_us += est_query_us
-        else:
-            shed.append(query)
-    return admitted, shed
+    mask = AdmissionFilter(controller, num_servers, est_query_us,
+                           est_batch_us, first_arrival_us).mask(columns)
+    return ([queries[index] for index in order[mask].tolist()],
+            [queries[index] for index in order[~mask].tolist()])

@@ -19,6 +19,11 @@ slo_policy=..., admission=...)`` assigns per-query deadlines
 (:mod:`repro.serving.slo`) and places an admission controller in front
 of the batcher (:mod:`repro.serving.admission`), reporting goodput, SLO
 attainment and shed rate in ``extras["slo"]``.
+
+``simulate`` accepts ``ServingQuery`` objects, query columns or a query
+stream and converts object input to
+:class:`~repro.serving.query_columns.QueryColumns` once, at its entry;
+every layer after that runs on columns.
 """
 
 import numpy as np
@@ -30,8 +35,15 @@ from repro.perf.service_store import (
     resolve_service_store,
     stable_fingerprint,
 )
-from repro.serving.batcher import BatchingFrontend, QueryBatch
+from repro.serving.admission import AdmissionFilter, resolve_admission
+from repro.serving.batcher import BatchingFrontend
 from repro.serving.engine import resolve_engine
+from repro.serving.query_columns import (
+    BatchColumns,
+    ColumnBatch,
+    QueryColumns,
+    QueryStream,
+)
 from repro.serving.sharding import TableSharder, partition_by_assignment
 from repro.systems.registry import build_system
 from repro.utils.lru import LRUCache
@@ -190,13 +202,7 @@ class ShardedServingCluster:
         -- their assignment is a pure function of content, so a cache
         hit needs no assignment pass at all.
         """
-        fingerprints = getattr(batch, "query_fingerprints", None)
-        if fingerprints is not None:
-            # Batch-level digests: QueryBatch walks its queries once,
-            # ColumnBatch answers from the provider's residue memo.
-            key = tuple(fingerprints())
-        else:
-            key = tuple(query.fingerprint() for query in batch.queries)
+        key = tuple(batch.query_fingerprints())
         if self.sharder.stateful:
             # Routing state must advance for every batch, cached or not,
             # and the assignment is part of the key.
@@ -461,6 +467,8 @@ class ShardedServingCluster:
         recurs in the run.  Stateful sharders route the probe from
         *fresh* routing state, so the estimate is a pure function of the
         queries -- independent of whatever ran on the cluster before.
+        ``queries`` is a :class:`QueryColumns` or a query list
+        (converted once).
         """
         from repro.perf.service_model import resolve_service_model
 
@@ -470,25 +478,13 @@ class ShardedServingCluster:
             self.sharder.reset_routing()
         frontend = frontend or BatchingFrontend()
         model = resolve_service_model(service_model)
-        if hasattr(queries, "sorted_by_arrival"):
-            # Array-path probe over QueryColumns: same first
-            # max_queries rows, same content fingerprints, so it shares
-            # the service-cache entry with the object-path probe.
-            from repro.serving.query_columns import ColumnBatch
-
-            columns = queries.sorted_by_arrival()
-            count = min(len(columns), frontend.max_queries)
-            open_us = float(columns.arrival_us[0])
-            batch = ColumnBatch(columns, 0, count, open_us, open_us,
-                                "size")
-            return model.service_time_us(self, batch) / count
-        probe = sorted(queries,
-                       key=lambda q: (q.arrival_us, q.query_id))
-        probe = probe[:frontend.max_queries]
-        open_us = probe[0].arrival_us
-        batch = QueryBatch(queries=probe, open_us=open_us,
-                           formed_us=open_us)
-        return model.service_time_us(self, batch) / len(probe)
+        if not isinstance(queries, QueryColumns):
+            queries = QueryColumns.from_queries(queries)
+        columns = queries.sorted_by_arrival()
+        count = min(len(columns), frontend.max_queries)
+        open_us = float(columns.arrival_us[0])
+        batch = ColumnBatch(columns, 0, count, open_us, open_us, "size")
+        return model.service_time_us(self, batch) / count
 
     def simulate(self, queries, frontend=None, engine=None,
                  service_model=None, slo_policy=None, admission=None,
@@ -510,21 +506,22 @@ class ShardedServingCluster:
         :class:`~repro.serving.admission.AdmissionController`); shed
         queries never enter a batch, and the report's percentiles are
         conditioned on the admitted stream with the shed/goodput
-        accounting in ``extras["slo"]``.  Deadline assignment *mutates*
-        the query objects and persists across calls (deadlines set by
-        hand are honoured the same way): a later ``simulate`` without
-        ``slo_policy`` still reports SLO accounting against the
-        existing deadlines -- clear ``query.deadline_us`` for a
-        deadline-free rerun.  Every run starts from fresh
+        accounting in ``extras["slo"]``.  Policy deadlines live only in
+        the run's own deadline column: caller-owned query objects and
+        columns are never modified, so a later ``simulate`` without
+        ``slo_policy`` reports no SLO accounting.  Deadlines set by hand
+        on the input queries (``query.deadline_us``) are honoured -- the
+        conversion snapshots them.  Every run starts from fresh
         routing state (stateful sharders reset their replica counters),
         so a report is a pure function of the query stream -- repeated
         ``simulate`` calls and reordered ``qps_sweep`` points agree.
 
-        ``queries`` may also be a
-        :class:`~repro.serving.query_columns.QueryColumns` (the
-        struct-of-arrays query path) or a
-        :class:`~repro.serving.query_columns.QueryStream`; both run the
-        array pipeline and produce a byte-identical report.
+        ``queries`` is an iterable of
+        :class:`~repro.serving.arrival.ServingQuery` objects (converted
+        once to :class:`~repro.serving.query_columns.QueryColumns`, the
+        one representation every later stage runs on), a
+        ``QueryColumns``, or a
+        :class:`~repro.serving.query_columns.QueryStream`.
         ``stream_chunk`` (valid for any query source) processes the run
         in chunks of that many queries with carried batcher, sharder and
         admission state -- O(chunk) memory for streams of any length,
@@ -545,11 +542,6 @@ class ShardedServingCluster:
         (the report object itself never carries the tracer).
         """
         from repro.perf.service_model import resolve_service_model
-        from repro.serving.admission import (
-            apply_admission,
-            resolve_admission,
-        )
-        from repro.serving.query_columns import QueryColumns, QueryStream
         from repro.serving.slo import resolve_slo_policy
 
         frontend = frontend or BatchingFrontend()
@@ -565,52 +557,91 @@ class ShardedServingCluster:
                 raise ValueError(
                     "stream_chunk must be >= the frontend's max_queries "
                     "(%d)" % frontend.max_queries)
-        if isinstance(queries, (QueryColumns, QueryStream)) \
-                or stream_chunk is not None:
-            if isinstance(queries, QueryStream) and stream_chunk is None:
-                stream_chunk = DEFAULT_STREAM_CHUNK
-            return self._simulate_columns(queries, frontend, engine,
-                                          model, policy, controller,
-                                          stream_chunk, tracer, registry,
-                                          capture)
-        queries = list(queries)
-        if policy is not None:
-            policy.assign_deadlines(queries)
+        elif isinstance(queries, QueryStream):
+            stream_chunk = DEFAULT_STREAM_CHUNK
+        # Chunks flow through deadline assignment, admission, batching
+        # and service-time resolution with carried state between them
+        # (the admission fluid model, the batcher's open batch, the
+        # sharder's routing counters); a single engine.summarize then
+        # sees the whole run, so the report is byte-identical whatever
+        # the chunk size.
+        admission_filter = None
+        num_offered = 0
+        num_admitted = 0
+        first_arrival = None
+        last_arrival = None
+        carry = None
+        batch_parts = []
+        service_parts = []
+        shed_id_parts = []
+        shed_arrival_parts = []
+        for chunk, is_final in _column_chunks(queries, stream_chunk):
+            if first_arrival is None:
+                first_arrival = float(chunk.arrival_us[0])
+                if controller is not None:
+                    # Probe on the first chunk: chunking is monotone in
+                    # arrival order, so it holds the globally earliest
+                    # queries -- all the whole-stream estimate reads.
+                    est_query_us = self.estimate_query_service_us(
+                        chunk, frontend=frontend, service_model=model)
+                    admission_filter = AdmissionFilter(
+                        controller, self.num_frontends, est_query_us,
+                        est_query_us * frontend.max_queries, first_arrival)
+                # After the probe (which advances stateful routing),
+                # before the first real batch.
+                if self.sharder.stateful:
+                    self.sharder.reset_routing()
+            num_offered += len(chunk)
+            last_arrival = float(chunk.arrival_us[-1])
+            if policy is not None:
+                policy.assign_deadlines_columns(chunk)
+            admitted = chunk
+            if admission_filter is not None:
+                mask = admission_filter.mask(chunk)
+                if not mask.all():
+                    admitted = chunk.take(np.flatnonzero(mask))
+                    if capture is not None:
+                        dropped = np.flatnonzero(~mask)
+                        shed_id_parts.append(chunk.query_id[dropped])
+                        shed_arrival_parts.append(chunk.arrival_us[dropped])
+            num_admitted += len(admitted)
+            piece = admitted
+            if carry is not None:
+                piece = QueryColumns.concat([carry, piece]) \
+                    if len(piece) else carry
+                carry = None
+            if not len(piece):
+                continue
+            formed, carry = frontend.form_batch_columns(piece,
+                                                        final=is_final)
+            if len(formed):
+                batch_parts.append(formed)
+                service_parts.append(np.asarray(
+                    model.service_times_us(self, formed), dtype=np.float64))
+        if controller is not None and num_offered and not num_admitted:
+            raise ValueError(
+                "admission controller %r shed every query; offered "
+                "load is far beyond capacity or the controller is "
+                "misconfigured" % controller.describe())
         slo_info = None
-        admitted, shed = queries, []
-        if controller is not None:
-            # The probe simulation may advance stateful routing; the
-            # reset below restores the pure-function-of-stream contract.
-            est_query_us = self.estimate_query_service_us(
-                queries, frontend=frontend, service_model=model)
-            admitted, shed = apply_admission(
-                queries, controller, num_servers=self.num_frontends,
-                est_query_us=est_query_us,
-                est_batch_us=est_query_us * frontend.max_queries)
-            if not admitted:
-                raise ValueError(
-                    "admission controller %r shed every query; offered "
-                    "load is far beyond capacity or the controller is "
-                    "misconfigured" % controller.describe())
         if policy is not None or controller is not None:
-            arrivals = [query.arrival_us for query in queries]
             slo_info = {
-                "num_offered": len(queries),
-                "num_shed": len(shed),
-                "offered_span_us": max(arrivals) - min(arrivals),
+                "num_offered": num_offered,
+                "num_shed": num_offered - num_admitted,
+                "offered_span_us": (last_arrival - first_arrival)
+                if num_offered else 0.0,
                 "admission": controller.name if controller is not None
                 else "none",
                 "slo_policy": policy.describe() if policy is not None
                 else None,
             }
-        if self.sharder.stateful:
-            self.sharder.reset_routing()
-        batches = frontend.form_batches(admitted)
-        services = model.service_times_us(self, batches)
+        if not batch_parts:
+            raise ValueError("need at least one batch")
+        batches = BatchColumns.concat(batch_parts)
         report = engine.summarize(
-            self.describe(), batches, services,
+            self.describe(), batches, np.concatenate(service_parts),
             num_servers=self.num_frontends,
-            trigger_counts=frontend.trigger_counts(batches),
+            trigger_counts=batches.trigger_counts(),
             extras={"num_nodes": self.num_nodes,
                     "node_system": self.node_system,
                     "shard_policy": self.sharder.policy,
@@ -618,10 +649,10 @@ class ShardedServingCluster:
                     "service_model": model.name},
             slo_info=slo_info, capture=capture)
         if capture is not None:
-            shed_ids = np.asarray([query.query_id for query in shed],
-                                  dtype=np.int64)
-            shed_arrivals = np.asarray(
-                [query.arrival_us for query in shed], dtype=np.float64)
+            shed_ids = np.concatenate(shed_id_parts) if shed_id_parts \
+                else np.empty(0, dtype=np.int64)
+            shed_arrivals = np.concatenate(shed_arrival_parts) \
+                if shed_arrival_parts else np.empty(0, dtype=np.float64)
             self._finish_observability(tracer, registry, capture,
                                        batches, report, engine,
                                        shed_ids, shed_arrivals)
@@ -753,159 +784,6 @@ class ShardedServingCluster:
                     help="measured busy fraction of the last run").set(
                     capture.measured_utilization)
 
-    def _simulate_columns(self, queries, frontend, engine, model, policy,
-                          controller, stream_chunk, tracer=None,
-                          registry=None, capture=None):
-        """Array-path run: columns in, one :class:`ServingReport` out.
-
-        Chunks flow through deadline assignment, admission, batching and
-        service-time resolution with carried state between chunks (the
-        admission fluid model, the batcher's open batch, the sharder's
-        routing counters), then a single ``engine.summarize`` sees the
-        whole run -- so the report is byte-identical whatever the chunk
-        size, including the one-shot ``stream_chunk=None``.
-        """
-        from repro.serving import event_kernels
-        from repro.serving.admission import admission_kernel_spec
-        from repro.serving.query_columns import BatchColumns, QueryColumns
-
-        est_query_us = est_batch_us = None
-        kernel_spec = None
-        admission_state = None
-        backlog_us = 0.0                # custom-controller fluid model
-        last_us = None
-        num_offered = 0
-        num_admitted = 0
-        first_arrival = None
-        last_arrival = None
-        carry = None
-        batch_parts = []
-        service_parts = []
-        shed_id_parts = []
-        shed_arrival_parts = []
-        routing_reset = False
-        for chunk, is_final in _column_chunks(queries, stream_chunk):
-            num_offered += len(chunk)
-            if first_arrival is None:
-                first_arrival = float(chunk.arrival_us[0])
-            last_arrival = float(chunk.arrival_us[-1])
-            if policy is not None:
-                policy.assign_deadlines_columns(chunk)
-            if controller is not None and est_query_us is None:
-                # Probe on the first chunk: chunking is monotone in
-                # arrival order, so it holds the globally earliest
-                # queries -- all the whole-stream estimate ever reads.
-                est_query_us = self.estimate_query_service_us(
-                    chunk, frontend=frontend, service_model=model)
-                est_batch_us = est_query_us * frontend.max_queries
-                capacity_qps = self.num_frontends / est_query_us * 1e6
-                controller.configure(capacity_qps, est_query_us,
-                                     est_batch_us, self.num_frontends)
-                controller.reset()
-                kernel_spec = admission_kernel_spec(controller,
-                                                    capacity_qps)
-                if kernel_spec is not None \
-                        and event_kernels.active_flavor() != "disabled":
-                    admission_state = event_kernels.new_admission_state(
-                        first_arrival, kernel_spec[3])
-                else:
-                    # Custom controller (or kernels disabled): per-query
-                    # object loop, same fluid model, carried by hand.
-                    kernel_spec = None
-                    last_us = first_arrival
-            if not routing_reset:
-                # After the probe (which advances stateful routing),
-                # before the first real batch: the same reset point as
-                # the object path.
-                if self.sharder.stateful:
-                    self.sharder.reset_routing()
-                routing_reset = True
-            if controller is None:
-                admitted = chunk
-                num_admitted += len(chunk)
-            else:
-                if kernel_spec is not None:
-                    mode, param0, param1, _ = kernel_spec
-                    slacks = chunk.deadline_us - chunk.arrival_us
-                    mask = event_kernels.admission_mask(
-                        chunk.arrival_us, slacks, admission_state,
-                        self.num_frontends, est_query_us, est_batch_us,
-                        mode, param0, param1)
-                else:
-                    mask = np.empty(len(chunk), dtype=bool)
-                    for position in range(len(chunk)):
-                        view = chunk.view(position)
-                        now_us = view.arrival_us
-                        backlog_us = max(
-                            0.0, backlog_us - (now_us - last_us)
-                            * self.num_frontends)
-                        last_us = now_us
-                        wait_us = backlog_us / self.num_frontends
-                        admit = controller.admit(view, now_us, wait_us)
-                        mask[position] = admit
-                        if admit:
-                            backlog_us += est_query_us
-                admitted = chunk if mask.all() \
-                    else chunk.take(np.flatnonzero(mask))
-                num_admitted += len(admitted)
-                if capture is not None and len(admitted) != len(chunk):
-                    dropped = np.flatnonzero(~mask)
-                    shed_id_parts.append(chunk.query_id[dropped].copy())
-                    shed_arrival_parts.append(
-                        chunk.arrival_us[dropped].copy())
-            piece = admitted
-            if carry is not None:
-                piece = QueryColumns.concat([carry, piece]) \
-                    if len(piece) else carry
-                carry = None
-            if not len(piece):
-                continue
-            formed, carry = frontend.form_batch_columns(piece,
-                                                        final=is_final)
-            if len(formed):
-                batch_parts.append(formed)
-                service_parts.append(np.asarray(
-                    model.service_times_us(self, formed), dtype=np.float64))
-        if controller is not None and num_offered and not num_admitted:
-            raise ValueError(
-                "admission controller %r shed every query; offered "
-                "load is far beyond capacity or the controller is "
-                "misconfigured" % controller.describe())
-        slo_info = None
-        if policy is not None or controller is not None:
-            slo_info = {
-                "num_offered": num_offered,
-                "num_shed": num_offered - num_admitted,
-                "offered_span_us": (last_arrival - first_arrival)
-                if num_offered else 0.0,
-                "admission": controller.name if controller is not None
-                else "none",
-                "slo_policy": policy.describe() if policy is not None
-                else None,
-            }
-        if not batch_parts:
-            raise ValueError("need at least one batch")
-        batches = BatchColumns.concat(batch_parts)
-        report = engine.summarize(
-            self.describe(), batches, np.concatenate(service_parts),
-            num_servers=self.num_frontends,
-            trigger_counts=frontend.trigger_counts(batches),
-            extras={"num_nodes": self.num_nodes,
-                    "node_system": self.node_system,
-                    "shard_policy": self.sharder.policy,
-                    "sharder": self.sharder.describe(),
-                    "service_model": model.name},
-            slo_info=slo_info, capture=capture)
-        if capture is not None:
-            shed_ids = np.concatenate(shed_id_parts) if shed_id_parts \
-                else np.empty(0, dtype=np.int64)
-            shed_arrivals = np.concatenate(shed_arrival_parts) \
-                if shed_arrival_parts else np.empty(0, dtype=np.float64)
-            self._finish_observability(tracer, registry, capture,
-                                       batches, report, engine,
-                                       shed_ids, shed_arrivals)
-        return report
-
     def describe(self):
         return "%dx %s" % (self.num_nodes, self.node_system)
 
@@ -915,14 +793,14 @@ def _column_chunks(queries, stream_chunk):
 
     ``queries`` is a :class:`QueryStream` (drained ``stream_chunk`` at a
     time; must be bounded), a :class:`QueryColumns`, or any iterable of
-    :class:`ServingQuery` objects (both materialised forms are sorted
-    once and sliced).  Streamed chunks are required to arrive in
-    non-decreasing arrival order -- every built-in arrival process
-    generates monotone times -- because carried batching state is only
-    meaningful over a globally sorted stream.
+    :class:`ServingQuery` objects (converted once; both materialised
+    forms are sorted once and sliced).  Every chunk owns its deadline
+    column, so SLO deadlines never reach the caller's queries.
+    Streamed chunks are required to arrive in non-decreasing arrival
+    order -- every built-in arrival process generates monotone times --
+    because carried batching state is only meaningful over a globally
+    sorted stream.
     """
-    from repro.serving.query_columns import QueryColumns, QueryStream
-
     if isinstance(queries, QueryStream):
         if queries.num_queries is None:
             raise ValueError("chunked simulation needs a bounded stream; "
@@ -943,9 +821,13 @@ def _column_chunks(queries, stream_chunk):
             if is_final:
                 break
         return
-    columns = queries if isinstance(queries, QueryColumns) \
-        else QueryColumns.from_queries(list(queries))
-    columns = columns.sorted_by_arrival()
+    if isinstance(queries, QueryColumns):
+        columns = queries.sorted_by_arrival()
+        if columns is queries:
+            columns = columns.slice(0, len(columns))
+            columns.deadline_us = columns.deadline_us.copy()
+    else:
+        columns = QueryColumns.from_queries(queries).sorted_by_arrival()
     size = len(columns)
     if stream_chunk is None:
         if size:

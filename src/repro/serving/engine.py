@@ -52,15 +52,17 @@ class ServingEngine(abc.ABC):
                   slo_info=None, capture=None):
         """Produce a :class:`ServingReport` for one serving run.
 
-        ``batches`` are the dispatched
-        :class:`~repro.serving.batcher.QueryBatch` objects in dispatch
-        order, ``service_times_us`` the per-batch execution times on the
+        ``batches`` are the dispatched batches in dispatch order -- a
+        :class:`~repro.serving.query_columns.BatchColumns`, or a list of
+        batch views converted once at entry
+        (:func:`~repro.serving.query_columns.as_batch_columns`) --
+        ``service_times_us`` the per-batch execution times on the
         cluster, and ``num_servers`` the number of concurrent dispatch
         frontends draining the batch queue.  ``slo_info`` is the
         admission context from the cluster (offered/shed counts, policy
         names); when present -- or when any query carries a deadline --
         the engine attaches deadline accounting to ``extras["slo"]``
-        (:func:`repro.serving.slo.summarize_slo`).
+        (:func:`repro.serving.slo.slo_record`).
 
         ``capture``, when given, is a
         :class:`~repro.obs.capture.RunCapture` the engine must fill
@@ -80,26 +82,6 @@ class ServingEngine(abc.ABC):
         tagged = dict(extras or {})
         tagged.setdefault("engine", self.name)
         return tagged
-
-    def _attach_slo(self, extras, queries, latencies_us, slo_info):
-        """Attach ``extras["slo"]`` when the run carries SLO context."""
-        from repro.serving.slo import maybe_summarize_slo
-
-        record = maybe_summarize_slo(queries, latencies_us, slo_info)
-        if record is not None:
-            extras.setdefault("slo", record)
-
-    def _attach_slo_columns(self, extras, batch_columns, latencies_us,
-                            slo_info):
-        """Array-path :meth:`_attach_slo` over batched query columns."""
-        from repro.serving.slo import maybe_summarize_slo_arrays
-
-        columns = batch_columns.columns
-        slack = columns.deadline_us - columns.arrival_us
-        record = maybe_summarize_slo_arrays(columns.arrival_us, slack,
-                                            latencies_us, slo_info)
-        if record is not None:
-            extras.setdefault("slo", record)
 
 
 class AnalyticEngine(ServingEngine):

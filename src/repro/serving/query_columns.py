@@ -1,10 +1,12 @@
-"""Struct-of-arrays query path for million-query serving runs.
+"""The serving layer's one query representation: struct-of-arrays columns.
 
-The object query path builds one :class:`~repro.serving.arrival.ServingQuery`
-per query and re-walks Python object graphs for every aggregate -- fine
-for thousands of queries, the bottleneck at millions.  This module keeps
-the *stream* of queries in flat numpy columns and materialises objects
-only where a caller actually needs one:
+Every serving layer -- SLO deadlines, admission, batch formation,
+service-time resolution, both engines and the observability capture --
+consumes the columns defined here.  Object input
+(:class:`~repro.serving.arrival.ServingQuery` lists) is accepted at the
+public entry points and converted once by
+:meth:`QueryColumns.from_queries`; Python objects are materialised only
+where a caller actually needs one:
 
 * :class:`QueryColumns` -- the per-query arrays (ids, arrivals,
   deadlines, per-query lookup/pooling counts) plus a *request provider*
@@ -12,30 +14,30 @@ only where a caller actually needs one:
   fingerprint.  Slicing, sorting and concatenation are array ops.
 * :class:`ColumnQueryView` -- a zero-copy view of one row that quacks
   like a ``ServingQuery`` (``arrival_us``, ``deadline_us``,
-  ``slack_us``, ``requests``, ``fingerprint()``), so object-path
-  consumers (custom SLO policies, admission controllers, the exact
-  service path) keep working unchanged.
+  ``slack_us``, ``requests``, ``fingerprint()``), so per-query hooks
+  (custom SLO policies, admission controllers, the exact service path)
+  keep working unchanged.
 * :func:`form_batch_columns` -- the two-trigger batcher
   (:class:`~repro.serving.batcher.BatchingFrontend` semantics) as one
-  vectorised ``searchsorted`` plus a walk over batch starts instead of
-  a per-query loop, with a carry-out open batch so chunked streaming reproduces the one-shot
+  vectorised ``searchsorted`` plus a walk over batch starts, with a
+  carry-out open batch so chunked streaming reproduces the one-shot
   batching byte for byte.
 * :class:`BatchColumns` / :class:`ColumnBatch` -- the formed batches as
   arrays (formation times, sizes, triggers, per-batch deadline minima)
-  plus per-batch views compatible with
-  :class:`~repro.serving.batcher.QueryBatch`.
+  plus per-batch views; :func:`as_batch_columns` converts a list of
+  batch views once at the engine and service-model boundaries.
 * :class:`QueryStream` -- a resumable generator of ``QueryColumns``
   chunks from traces plus an arrival process, the O(chunk)-memory
   source behind ``ShardedServingCluster.simulate(stream_chunk=N)``.
 
-Everything here is representation, not policy: batch boundaries,
-formation times, aggregates and fingerprints are defined by the object
-path and reproduced exactly (equivalence is pinned by
-``tests/test_query_columns.py``).
+Everything here is representation, not policy.  That object input
+converted here serves byte-identical reports to the object pipeline it
+replaced is pinned by ``tests/golden/serving_reports.json``.
 """
 
 import hashlib
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,6 +47,10 @@ from repro.traces.synthetic import batched_requests_from_trace
 #: Residue-pattern periods above this fall back to a per-pattern dict;
 #: below it, one digest per ``row % period`` covers every query.
 _MAX_DIGEST_PERIOD = 1 << 16
+
+#: The per-query fields :meth:`QueryColumns.from_queries` snapshots.
+_QUERY_FIELDS = attrgetter("query_id", "arrival_us", "deadline_us",
+                           "requests")
 
 
 class _CycledRequests:
@@ -133,11 +139,11 @@ class _ExplicitRequests:
 
     Used by :meth:`QueryColumns.from_queries`: requests and fingerprints
     delegate to the original objects, so digests memoised there are
-    shared with the object path.
+    shared with every other user of those objects.
     """
 
     def __init__(self, queries):
-        self.queries = list(queries)
+        self.queries = queries
 
     def row_requests(self, row):
         return self.queries[row].requests
@@ -246,29 +252,41 @@ class QueryColumns:
     def from_queries(cls, queries):
         """Columns over existing :class:`ServingQuery` objects.
 
-        Requests and fingerprints stay delegated to the originals; the
-        arrays snapshot ids, arrivals, deadlines and lookup counts at
-        conversion time (later edits to the arrays do not write back).
+        The one conversion of object input.  Requests and fingerprints
+        stay delegated to the originals; ids, arrivals and deadlines
+        are snapshotted in one ``attrgetter`` pass, so later edits to
+        the arrays (an SLO policy's deadlines) never write back to the
+        objects.  Lookup, pooling and request counts are computed once
+        per distinct tuple of request objects -- queries cycled from
+        shared candidate requests repeat a handful of tuples -- and the
+        row-per-tuple memo is keyed by object identity, which is sound
+        because ``requests`` holds every one of those objects for the
+        whole call.
         """
         queries = list(queries)
         size = len(queries)
-        deadline = np.full(size, np.nan, dtype=np.float64)
-        lookups = np.empty(size, dtype=np.int64)
-        poolings = np.empty(size, dtype=np.int64)
-        num_requests = np.empty(size, dtype=np.int64)
-        query_id = np.empty(size, dtype=np.int64)
-        arrival = np.empty(size, dtype=np.float64)
-        for index, query in enumerate(queries):
-            query_id[index] = query.query_id
-            arrival[index] = query.arrival_us
-            if query.deadline_us is not None:
-                deadline[index] = query.deadline_us
-            lookups[index] = query.total_lookups
-            poolings[index] = sum(len(request.lengths)
-                                  for request in query.requests)
-            num_requests[index] = len(query.requests)
-        return cls(query_id, arrival, deadline, lookups, poolings,
-                   num_requests, np.arange(size, dtype=np.int64),
+        if size:
+            ids, arrivals, deadlines, requests = zip(*map(_QUERY_FIELDS,
+                                                          queries))
+        else:
+            ids = arrivals = deadlines = requests = ()
+        identity_rows = {}
+        shape_rows = np.fromiter(
+            (identity_rows.setdefault(tuple(map(id, query_requests)),
+                                      len(identity_rows))
+             for query_requests in requests), dtype=np.int64, count=size)
+        # First query of every distinct tuple, in first-seen order.
+        _, first = np.unique(shape_rows, return_index=True)
+        shapes = np.array(
+            [(sum(request.total_lookups for request in requests[position]),
+              sum(len(request.lengths) for request in requests[position]),
+              len(requests[position])) for position in first.tolist()],
+            dtype=np.int64).reshape(-1, 3)[shape_rows]
+        return cls(np.array(ids, dtype=np.int64),
+                   np.array(arrivals, dtype=np.float64),
+                   np.array(deadlines, dtype=np.float64),
+                   shapes[:, 0], shapes[:, 1], shapes[:, 2],
+                   np.arange(size, dtype=np.int64),
                    _ExplicitRequests(queries))
 
     # ------------------------------------------------------------------ #
@@ -335,14 +353,14 @@ class QueryColumns:
 
 def query_columns_from_traces(traces, num_queries, arrivals, batch_size=4,
                               pooling_factor=20, start_id=0):
-    """Array-path equivalent of
-    :func:`repro.serving.arrival.queries_from_traces`.
+    """Columns of :func:`repro.serving.arrival.queries_from_traces`,
+    built without query objects.
 
     Same request recipe -- query ``i`` carries candidate ``i % len``
     from every table -- but per-query lookup/pooling counts come from a
-    vectorised pass over the candidate statistics and no query objects
-    are built.  Row-for-row identical to the object path (ids, arrivals,
-    request content, fingerprints).
+    vectorised pass over the candidate statistics.  Row-for-row
+    identical to ``QueryColumns.from_queries(queries_from_traces(...))``
+    (ids, arrivals, request content, fingerprints).
     """
     if num_queries <= 0:
         raise ValueError("num_queries must be positive")
@@ -471,11 +489,11 @@ class QueryStream:
 class ColumnBatch:
     """One dispatched batch as a row range of a :class:`QueryColumns`.
 
-    Interface-compatible with :class:`~repro.serving.batcher.QueryBatch`
-    (``queries``, ``requests()``, the aggregate properties,
-    ``batching_delay_us``), with the aggregates answered from array
-    slices instead of object walks and ``query_fingerprints()`` served
-    straight from the provider's digest memo.
+    ``queries`` (row views), ``requests()``, the aggregate properties
+    and ``batching_delay_us`` answer from array slices;
+    ``query_fingerprints()`` is served straight from the provider's
+    digest memo.  :meth:`from_queries` builds one over query objects
+    (``repro.serving.QueryBatch`` is that constructor).
     """
 
     __slots__ = ("columns", "start", "stop", "open_us", "formed_us",
@@ -489,6 +507,14 @@ class ColumnBatch:
         self.formed_us = formed_us
         self.trigger = trigger
         self._queries = None
+
+    @classmethod
+    def from_queries(cls, queries=(), open_us=0.0, formed_us=0.0,
+                     trigger="size"):
+        """A batch over query objects, in the given order."""
+        columns = QueryColumns.from_queries(queries)
+        return cls(columns, 0, len(columns), float(open_us),
+                   float(formed_us), trigger)
 
     @property
     def queries(self):
@@ -549,12 +575,10 @@ class BatchColumns:
 
     ``columns`` holds the *batched* queries in dispatch order (batch
     after batch, each batch in arrival order), ``starts`` the per-batch
-    offsets into it.  Engines branch on the ``is_columns`` marker to
-    consume the arrays directly; iteration and indexing materialise
-    :class:`ColumnBatch` views for object-path consumers.
+    offsets into it.  Engines consume the arrays directly; iteration
+    and indexing materialise :class:`ColumnBatch` views for per-batch
+    consumers (the exact service path, the routing replay).
     """
-
-    is_columns = True
 
     def __init__(self, columns, starts, formed_us, open_us, triggers):
         self.columns = columns
@@ -609,10 +633,6 @@ class BatchColumns:
         for index in range(len(self)):
             yield self[index]
 
-    def batches(self):
-        """All batches as :class:`ColumnBatch` views, in dispatch order."""
-        return list(self)
-
     @classmethod
     def concat(cls, parts):
         """Concatenate per-chunk batch columns into one run."""
@@ -630,14 +650,35 @@ class BatchColumns:
                    np.concatenate([part.triggers for part in parts]))
 
 
+def as_batch_columns(batches):
+    """``batches`` as one :class:`BatchColumns`.
+
+    A :class:`BatchColumns` passes through; any other sequence of batch
+    views (``ColumnBatch`` / ``QueryBatch``) is converted once, its
+    queries flattened batch after batch through
+    :meth:`QueryColumns.from_queries`.
+    """
+    if isinstance(batches, BatchColumns):
+        return batches
+    batches = list(batches)
+    columns = QueryColumns.from_queries(
+        query for batch in batches for query in batch.queries)
+    sizes = np.array([batch.size for batch in batches], dtype=np.int64)
+    return BatchColumns(columns, np.cumsum(sizes) - sizes,
+                        [batch.formed_us for batch in batches],
+                        [batch.open_us for batch in batches],
+                        [batch.trigger == "deadline" for batch in batches])
+
+
 def form_batch_columns(columns, max_queries, max_delay_us, final=True):
     """Two-trigger batch formation over sorted query columns.
 
-    Reproduces :meth:`BatchingFrontend.form_batches` exactly -- same
-    batch boundaries, formation times and trigger labels -- from one
-    vectorised ``searchsorted`` over every position, a walk over the
-    batch starts and fancy-indexed per-batch arrays.  ``columns`` must
-    already be in ``(arrival_us, query_id)`` order.
+    The size trigger dispatches a batch at its ``max_queries``-th
+    arrival; the deadline trigger at ``open + max_delay_us``, and a
+    query arriving exactly then opens the next batch.  One vectorised
+    ``searchsorted`` over every position, a walk over the batch starts
+    and fancy-indexed per-batch arrays.  ``columns`` must already be in
+    ``(arrival_us, query_id)`` order.
 
     Returns ``(batch_columns, carry)``: with ``final=False`` a trailing
     open batch whose deadline has not passed within ``columns`` (and

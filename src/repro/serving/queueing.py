@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.serving.query_columns import as_batch_columns
+
 
 def percentile(samples, p):
     """The ``p``-th percentile with linear interpolation (0 <= p <= 100)."""
@@ -140,38 +142,33 @@ def wait_quantile_us(arrival_rate_per_us, service_times_us, p,
         / (num_servers * (1.0 - rho))
 
 
-def traffic_stats(batches):
+def batch_traffic(batches):
     """Shared offered-load bookkeeping for the serving engines.
 
-    Returns ``(queries, delays_us, offered_qps, batch_rate_per_us)``:
-    the flattened query list, per-query batching delays, the offered
-    query rate over the arrival span, and the batch arrival rate from
-    the inter-dispatch intervals.  Both rates use the interval form
-    ``(N - 1) / span`` -- the maximum-likelihood rate estimate from N
-    arrivals, and the only form that stays finite when the span
+    ``batches`` is a :class:`~repro.serving.query_columns.BatchColumns`.
+    Returns ``(delays_us, offered_qps, batch_rate_per_us)``: the
+    per-query batching delays (query axis in dispatch order), the
+    offered query rate over the arrival span, and the batch arrival
+    rate from the inter-dispatch intervals.  Both rates use the interval
+    form ``(N - 1) / span`` -- the maximum-likelihood rate estimate from
+    N arrivals, and the only form that stays finite when the span
     degenerates.  A single query (or a single batch), and identical
     arrival (or dispatch) times, carry no rate information at all, so
     those degenerate spans report a rate of 0 rather than exploding on
     an epsilon floor.
     """
-    if not len(batches):
-        raise ValueError("need at least one batch")
-    queries = [query for batch in batches for query in batch.queries]
-    first_arrival = min(query.arrival_us for query in queries)
-    last_arrival = max(query.arrival_us for query in queries)
-    span_us = last_arrival - first_arrival
-    offered_qps = ((len(queries) - 1) / span_us * 1e6
-                   if len(queries) > 1 and span_us > 0.0 else 0.0)
-    if len(batches) > 1:
-        formed = [batch.formed_us for batch in batches]
-        batch_span_us = max(formed) - min(formed)
-        batch_rate_per_us = ((len(batches) - 1) / batch_span_us
-                             if batch_span_us > 0.0 else 0.0)
-    else:
-        batch_rate_per_us = 0.0
-    delays = [batch.batching_delay_us(query)
-              for batch in batches for query in batch.queries]
-    return queries, delays, offered_qps, batch_rate_per_us
+    arrivals = batches.columns.arrival_us
+    formed = batches.formed_us
+    num_queries = arrivals.shape[0]
+    delays = np.repeat(formed, batches.sizes) - arrivals
+    span_us = arrivals.max() - arrivals.min()
+    offered_qps = ((num_queries - 1) / span_us * 1e6
+                   if num_queries > 1 and span_us > 0.0 else 0.0)
+    batch_span_us = formed.max() - formed.min()
+    batch_rate_per_us = ((len(batches) - 1) / batch_span_us
+                         if len(batches) > 1 and batch_span_us > 0.0
+                         else 0.0)
+    return delays, offered_qps, batch_rate_per_us
 
 
 def saturation_qps(num_queries, num_batches, mean_service_us, num_servers):
@@ -237,20 +234,23 @@ def summarize_serving(system_name, batches, service_times_us,
                       slo_info=None, capture=None):
     """Turn per-batch service times into a :class:`ServingReport`.
 
-    ``batches`` are the dispatched :class:`~repro.serving.batcher.QueryBatch`
-    objects; ``service_times_us`` the simulated execution time of each.  A
-    per-query latency percentile combines the exact batching-delay-plus-
-    service distribution with the M/G/c waiting-time quantile at the same
-    percentile (:func:`wait_quantile_us`), so the tail reflects queueing
-    variance, not just the mean wait.  ``num_servers`` is the number of
-    concurrent dispatch frontends draining the batch queue.
+    ``batches`` are the dispatched batches -- a
+    :class:`~repro.serving.query_columns.BatchColumns`, or a list of
+    batch views converted once (:func:`~repro.serving.query_columns
+    .as_batch_columns`); ``service_times_us`` the simulated execution
+    time of each.  A per-query latency percentile combines the exact
+    batching-delay-plus-service distribution with the M/G/c
+    waiting-time quantile at the same percentile
+    (:func:`wait_quantile_us`), so the tail reflects queueing variance,
+    not just the mean wait.  ``num_servers`` is the number of concurrent
+    dispatch frontends draining the batch queue.
 
     When ``slo_info`` is given -- or any query carries a deadline --
     ``extras["slo"]`` gains the deadline accounting of
-    :func:`repro.serving.slo.summarize_slo`, using the analytic per-query
-    latency approximation (batching delay + service + mean wait) in place
-    of measured completions; quote attainment from the event engine where
-    the tail matters.
+    :func:`repro.serving.slo.summarize_slo_arrays`, using the analytic
+    per-query latency approximation (batching delay + service + mean
+    wait) in place of measured completions; quote attainment from the
+    event engine where the tail matters.
 
     ``capture`` is an optional :class:`~repro.obs.capture.RunCapture`
     the observability layer passes through ``simulate(trace=/metrics=)``.
@@ -259,43 +259,19 @@ def summarize_serving(system_name, batches, service_times_us,
     model-consistent *approximate* timeline (marked as such), whose
     per-query span sums still reconcile with the reported latencies.
     """
+    # Lazy import: repro.serving.slo imports this module.
+    from repro.serving.slo import slo_record
+
     if num_servers < 1:
         raise ValueError("num_servers must be >= 1")
+    batches = as_batch_columns(batches)
     services = np.asarray(service_times_us, dtype=np.float64)
     if len(batches) != services.size:
         raise ValueError("need one service time per batch")
     if not len(batches):
         raise ValueError("need at least one batch")
-    is_columns = getattr(batches, "is_columns", False)
-    if is_columns:
-        # Array fast path: batch order equals query order inside the
-        # columns, so np.repeat reproduces the flattened per-query loops
-        # below bitwise (the same float64 operations in the same
-        # association order as the scalar path).
-        sizes = batches.sizes
-        arrivals = batches.columns.arrival_us
-        num_queries = batches.num_queries
-        formed = batches.formed_us
-        delays = np.repeat(formed, sizes) - arrivals
-        span_us = arrivals.max() - arrivals.min()
-        offered_qps = ((num_queries - 1) / span_us * 1e6
-                       if num_queries > 1 and span_us > 0.0 else 0.0)
-        if len(batches) > 1:
-            batch_span_us = formed.max() - formed.min()
-            batch_rate_per_us = ((len(batches) - 1) / batch_span_us
-                                 if batch_span_us > 0.0 else 0.0)
-        else:
-            batch_rate_per_us = 0.0
-        base_samples = delays + np.repeat(services, sizes)
-    else:
-        queries, delays, offered_qps, batch_rate_per_us = \
-            traffic_stats(batches)
-        num_queries = len(queries)
-        base_samples = []
-        for batch, service in zip(batches, services):
-            for query in batch.queries:
-                base_samples.append(batch.batching_delay_us(query)
-                                    + float(service))
+    delays, offered_qps, batch_rate_per_us = batch_traffic(batches)
+    base_samples = delays + np.repeat(services, batches.sizes)
     rho = mgc_utilization(batch_rate_per_us, services, num_servers)
     mean_wait = mgc_mean_wait_us(batch_rate_per_us, services, num_servers)
     percentiles = {
@@ -304,38 +280,22 @@ def summarize_serving(system_name, batches, service_times_us,
                            num_servers=num_servers)
         for p in (50.0, 95.0, 99.0)
     }
-    if is_columns:
-        samples = base_samples + mean_wait
-    else:
-        samples = [base + mean_wait for base in base_samples]
+    samples = base_samples + mean_wait
     mean_service = float(services.mean())
+    num_queries = batches.num_queries
     sustainable_qps = saturation_qps(num_queries, len(batches),
                                      mean_service, num_servers)
     if capture is not None:
-        formed_times = formed if is_columns \
-            else np.asarray([batch.formed_us for batch in batches],
-                            dtype=np.float64)
-        approx_starts = formed_times + mean_wait
+        approx_starts = batches.formed_us + mean_wait
         capture.record(
-            engine="analytic", batches=batches, ready_us=formed_times,
+            engine="analytic", batches=batches, ready_us=batches.formed_us,
             service_us=services, start_us=approx_starts,
             complete_us=approx_starts + services, latency_us=samples,
             num_servers=num_servers, approximate=True)
-    # Lazy import: repro.serving.slo imports this module.
-    from repro.serving.slo import (
-        maybe_summarize_slo,
-        maybe_summarize_slo_arrays,
-    )
-
     extras = dict(extras or {})
-    if is_columns:
-        columns = batches.columns
-        slo_record = maybe_summarize_slo_arrays(
-            arrivals, columns.deadline_us - arrivals, samples, slo_info)
-    else:
-        slo_record = maybe_summarize_slo(queries, samples, slo_info)
-    if slo_record is not None:
-        extras.setdefault("slo", slo_record)
+    record = slo_record(batches, samples, slo_info)
+    if record is not None:
+        extras.setdefault("slo", record)
     return ServingReport(
         system=system_name,
         num_queries=num_queries,

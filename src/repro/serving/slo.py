@@ -13,15 +13,18 @@ queries that met their deadline).  This module provides:
   query touches (:class:`PerTableSLOPolicy`), and a budget derived from a
   percentile of observed service times
   (:class:`ServicePercentileSLOPolicy`).
-* :func:`summarize_slo` -- the shared deadline bookkeeping both serving
-  engines attach to their reports (``extras["slo"]``): attainment,
-  goodput, shed rate, and the admission counts.
+* :func:`summarize_slo_arrays` -- the shared deadline bookkeeping both
+  serving engines attach to their reports (``extras["slo"]``):
+  attainment, goodput, shed rate, and the admission counts
+  (:func:`summarize_slo` is its query-list adapter).
 
 Deadlines are *absolute* times (``arrival_us + slack``), so a query's
-latency meets its SLO exactly when ``complete_us <= deadline_us``.
-Deadline assignment is passive: it never changes batching, service times
-or the reported percentiles -- admission control
-(:mod:`repro.serving.admission`) and the EDF service order
+latency meets its SLO exactly when ``complete_us <= deadline_us``.  A
+policy writes them into the run's deadline column
+(:meth:`SLOPolicy.assign_deadlines_columns`), never into caller-owned
+query objects.  Deadline assignment is passive: it never changes
+batching, service times or the reported percentiles -- admission
+control (:mod:`repro.serving.admission`) and the EDF service order
 (:class:`~repro.serving.events.EventEngine`) are the active consumers.
 """
 
@@ -29,6 +32,7 @@ import abc
 
 import numpy as np
 
+from repro.serving.query_columns import QueryColumns
 from repro.serving.queueing import percentile
 
 
@@ -42,18 +46,8 @@ class SLOPolicy(abc.ABC):
     def slack_us(self, query):
         """Time budget (us) from the query's arrival to its deadline."""
 
-    def assign_deadlines(self, queries):
-        """Set ``deadline_us = arrival_us + slack`` on every query.
-
-        Mutates the queries in place and returns them (assignment is
-        idempotent for deterministic policies).
-        """
-        for query in queries:
-            query.deadline_us = query.arrival_us + self.slack_us(query)
-        return queries
-
     def assign_deadlines_columns(self, columns):
-        """Array-path deadline assignment over a
+        """Set ``deadline_us = arrival_us + slack`` on every row of a
         :class:`~repro.serving.query_columns.QueryColumns`.
 
         The generic implementation evaluates :meth:`slack_us` per row
@@ -196,107 +190,59 @@ def resolve_slo_policy(policy):
         % ", ".join(available_slo_policies()))
 
 
-def maybe_summarize_slo(queries, latencies_us, slo_info=None):
-    """:func:`summarize_slo` when the run carries SLO context, else None.
+def summarize_slo(queries, latencies_us, slo_info=None):
+    """:func:`summarize_slo_arrays` over a query list (converted once).
+
+    ``queries`` are the *admitted* queries in the engine's sample order
+    and ``latencies_us`` their per-query latencies.
+    """
+    columns = QueryColumns.from_queries(queries)
+    return summarize_slo_arrays(columns.arrival_us,
+                                columns.deadline_us - columns.arrival_us,
+                                latencies_us, slo_info)
+
+
+def slo_record(batches, latencies_us, slo_info=None):
+    """``extras["slo"]`` of one run, or None without SLO context.
 
     The shared trigger both serving engines use: accounting is attached
     when the cluster passed admission context (``slo_info``) *or* any
-    query carries a deadline (assigned by a policy or by hand).
+    query carries a deadline (assigned by a policy or set by hand on
+    the input objects).  ``batches`` is the run's
+    :class:`~repro.serving.query_columns.BatchColumns` and
+    ``latencies_us`` the per-query latencies on its query axis.
     """
-    if slo_info is None and not any(
-            getattr(query, "deadline_us", None) is not None
-            for query in queries):
-        return None
-    return summarize_slo(queries, latencies_us, slo_info)
-
-
-def summarize_slo(queries, latencies_us, slo_info=None):
-    """Deadline bookkeeping for one serving run (``extras["slo"]``).
-
-    ``queries`` are the *admitted* queries in the engine's sample order
-    and ``latencies_us`` their per-query latencies (measured by the event
-    engine, approximated by the analytic engine).  ``slo_info`` carries
-    the admission context from the cluster: ``num_offered`` / ``num_shed``
-    / ``offered_span_us`` / ``admission`` / ``slo_policy``.
-
-    Returns a JSON-serialisable dict: counts, ``shed_rate``,
-    ``attainment`` (fraction of deadline-carrying admitted queries that
-    met their deadline; ``None`` when no query carries one), and
-    ``goodput_qps`` -- deadline-meeting completions per second of offered
-    traffic (all admitted completions count when no deadlines are
-    assigned, making goodput degrade gracefully to net throughput).
-    Goodput uses the same interval form ``(N - 1) / span`` as every
-    other rate in :func:`~repro.serving.queueing.traffic_stats`, so it
-    stays comparable to ``offered_qps`` (never exceeding it) and a
-    degenerate single completion reports 0 rather than exploding.
-    """
-    if len(queries) != len(latencies_us):
-        raise ValueError("need one latency per admitted query")
-    info = dict(slo_info or {})
-    num_admitted = len(queries)
-    num_shed = int(info.get("num_shed", 0))
-    num_offered = int(info.get("num_offered", num_admitted + num_shed))
-    if num_offered < num_admitted + num_shed:
-        raise ValueError("offered count below admitted + shed")
-    span_us = info.get("offered_span_us")
-    if span_us is None:
-        arrivals = [query.arrival_us for query in queries]
-        span_us = max(arrivals) - min(arrivals) if arrivals else 0.0
-
-    with_deadline = 0
-    met = 0
-    for query, latency in zip(queries, latencies_us):
-        slack = getattr(query, "slack_us", None)
-        if slack is None:
-            continue
-        with_deadline += 1
-        if latency <= slack:
-            met += 1
-    attainment = met / with_deadline if with_deadline else None
-    # Queries without a deadline always count as useful work, so goodput
-    # degrades gracefully to net (post-shedding) throughput without SLOs.
-    good = met + (num_admitted - with_deadline)
-    goodput_qps = ((good - 1) / span_us * 1e6
-                   if good > 1 and span_us > 0.0 else 0.0)
-    return {
-        "slo_policy": info.get("slo_policy"),
-        "admission": info.get("admission", "none"),
-        "num_offered": num_offered,
-        "num_admitted": num_admitted,
-        "num_shed": num_shed,
-        "shed_rate": num_shed / num_offered if num_offered else 0.0,
-        "num_with_deadline": with_deadline,
-        "deadlines_met": met,
-        "attainment": attainment,
-        "goodput_qps": goodput_qps,
-        "offered_span_us": float(span_us),
-    }
-
-
-def maybe_summarize_slo_arrays(arrival_us, slack_us, latencies_us,
-                               slo_info=None):
-    """Array-path :func:`maybe_summarize_slo` (the columns engines).
-
-    ``slack_us`` is the per-admitted-query slack vector with NaN for
-    deadline-free queries (the array analogue of ``slack_us is None``);
-    the trigger and every reported number match the object path
-    bitwise.
-    """
-    has_deadline = ~np.isnan(slack_us)
+    columns = batches.columns
+    slack = columns.deadline_us - columns.arrival_us
+    has_deadline = ~np.isnan(slack)
     if slo_info is None and not has_deadline.any():
         return None
-    return summarize_slo_arrays(arrival_us, slack_us, latencies_us,
+    return summarize_slo_arrays(columns.arrival_us, slack, latencies_us,
                                 slo_info, has_deadline)
 
 
 def summarize_slo_arrays(arrival_us, slack_us, latencies_us, slo_info=None,
                          has_deadline=None):
-    """Vectorised :func:`summarize_slo` over per-query arrays.
+    """Deadline bookkeeping for one serving run (``extras["slo"]``).
 
-    Same accounting, same dict -- counts via masked comparisons instead
-    of a per-query loop.  The comparisons (``latency <= slack``) and the
-    derived ratios are the identical float64 operations the scalar loop
-    performs, so the record is byte-identical.
+    ``arrival_us`` / ``slack_us`` / ``latencies_us`` are per-admitted-
+    query arrays in the engine's sample order (``slack_us`` NaN for
+    deadline-free queries); latencies are measured by the event engine
+    and approximated by the analytic engine.  ``slo_info`` carries the
+    admission context from the cluster: ``num_offered`` / ``num_shed``
+    / ``offered_span_us`` / ``admission`` / ``slo_policy``.
+
+    Returns a JSON-serialisable dict: counts, ``shed_rate``,
+    ``attainment`` (fraction of deadline-carrying admitted queries that
+    met their deadline; ``None`` when no query carries one), and
+    ``goodput_qps`` -- deadline-meeting completions per second of
+    offered traffic (all admitted completions count when no deadlines
+    are assigned, making goodput degrade gracefully to net throughput).
+    Goodput uses the same interval form ``(N - 1) / span`` as every
+    other rate of the report (:func:`~repro.serving.queueing
+    .batch_traffic`), so it stays comparable to ``offered_qps`` (never
+    exceeding it) and a degenerate single completion reports 0 rather
+    than exploding.
     """
     latencies = np.asarray(latencies_us, dtype=np.float64)
     slack = np.asarray(slack_us, dtype=np.float64)
@@ -319,6 +265,8 @@ def summarize_slo_arrays(arrival_us, slack_us, latencies_us, slo_info=None,
     met = int(np.count_nonzero(
         latencies[has_deadline] <= slack[has_deadline]))
     attainment = met / with_deadline if with_deadline else None
+    # Queries without a deadline always count as useful work, so goodput
+    # degrades gracefully to net (post-shedding) throughput without SLOs.
     good = met + (num_admitted - with_deadline)
     goodput_qps = ((good - 1) / span_us * 1e6
                    if good > 1 and span_us > 0.0 else 0.0)

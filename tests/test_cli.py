@@ -294,6 +294,27 @@ class TestParseErrors:
         assert excinfo.value.code == 2         # argparse usage error
         assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics-json"])
+    def test_output_into_missing_directory_is_usage_error(
+            self, flag, tmp_path, capsys):
+        """Regression: a missing output directory raised a
+        FileNotFoundError traceback (exit 1) after the whole run."""
+        target = tmp_path / "missing" / "out.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(SERVE_ARGS + [flag, str(target)])
+        assert excinfo.value.code == 2         # argparse usage error
+        err = capsys.readouterr().err
+        assert flag in err and "does not exist" in err
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics-json"])
+    def test_output_onto_directory_is_usage_error(self, flag, tmp_path,
+                                                  capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(SERVE_ARGS + [flag, str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "is a directory" in capsys.readouterr().err
+
     def test_bad_choices_exit_with_usage_error(self, capsys):
         for flags in (["--arrival", "bursty"],
                       ["--engine", "closed-form"],

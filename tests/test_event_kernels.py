@@ -4,7 +4,9 @@ The compiled FIFO/EDF/admission kernels in
 :mod:`repro.serving.event_kernels` must be *bit-identical* to the legacy
 loops they replace (the ``heapq`` loops in
 :func:`repro.serving.events.simulate_batch_queue` and the per-query
-controller loop in :func:`repro.serving.admission.apply_admission`).
+controller loop of :class:`repro.serving.admission.AdmissionFilter`,
+run here through :func:`~repro.serving.admission.apply_admission` under
+the ``disabled`` flavor).
 These tests drive randomized workloads -- with ties, idle gaps,
 missing deadlines and every server count the engines use -- through
 every kernel flavor against the legacy paths, pin the flavor
@@ -180,8 +182,11 @@ class TestAdmissionKernels:
     def test_mask_matches_apply_admission(self, seed, controller):
         num_servers, est_query_us, est_batch_us = 3, 25.0, 200.0
         queries = self._queries(seed, 500, with_deadlines=True)
-        admitted, shed = apply_admission(queries, controller, num_servers,
-                                         est_query_us, est_batch_us)
+        with force_flavor("disabled"):
+            # The per-query controller loop, whatever the ambient flavor.
+            admitted, shed = apply_admission(queries, controller,
+                                             num_servers, est_query_us,
+                                             est_batch_us)
         admitted_ids = {query.query_id for query in admitted}
 
         arrivals = np.array([q.arrival_us for q in queries])

@@ -60,7 +60,11 @@ from repro.serving.admission import (
     apply_admission,
 )
 from repro.serving.arrival import ServingQuery
-from repro.serving.event_kernels import admission_mask, new_admission_state
+from repro.serving.event_kernels import (
+    admission_mask,
+    force_flavor,
+    new_admission_state,
+)
 from repro.serving.events import simulate_batch_queue
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -229,8 +233,10 @@ def _replay_admission(name, seed):
     controller = ADMISSION_CONTROLLERS[name]
     num_servers, est_query_us, est_batch_us = ADMISSION_MODEL
     queries = _admission_queries(seed)
-    admitted, _ = apply_admission(queries, controller, num_servers,
-                                  est_query_us, est_batch_us)
+    with force_flavor("disabled"):
+        # The per-query controller loop, whatever the ambient flavor.
+        admitted, _ = apply_admission(queries, controller, num_servers,
+                                      est_query_us, est_batch_us)
     admitted_ids = {query.query_id for query in admitted}
     loop_mask = [query.query_id in admitted_ids for query in queries]
 

@@ -1,11 +1,15 @@
-"""The array-backed query path must mirror the object path exactly.
+"""The two ways of building query columns must agree exactly.
 
-:mod:`repro.serving.query_columns` re-expresses ``ServingQuery`` lists,
-``QueryBatch`` lists and the batching frontend as struct-of-arrays; the
-contract is *byte identity* -- same ids, arrivals, fingerprints, batch
-boundaries and, end to end, the same ``ServingReport`` out of
-``ShardedServingCluster.simulate`` -- because every consumer (service
-cache keys, SLO accounting, the event engines) is keyed on those values.
+Columns come either from ``ServingQuery`` objects converted once by
+:meth:`QueryColumns.from_queries` (what ``simulate`` does with object
+input) or straight from traces (:func:`query_columns_from_traces`,
+:class:`QueryStream`).  The contract is *byte identity* -- same ids,
+arrivals, fingerprints, aggregates, batch boundaries and, end to end,
+the same ``ServingReport`` out of ``ShardedServingCluster.simulate`` --
+because every consumer (service cache keys, SLO accounting, the event
+engines) is keyed on those values.  That object input serves the
+reports of the object pipeline it replaced is pinned separately by
+``tests/golden/serving_reports.json``.
 """
 
 import dataclasses
@@ -19,6 +23,7 @@ from repro.serving import (
     FixedSLOPolicy,
     PoissonArrivalProcess,
     QueryColumns,
+    ServingQuery,
     ShardedServingCluster,
     form_batch_columns,
     queries_from_traces,
@@ -69,6 +74,34 @@ class TestConstruction:
             np.array([q.arrival_us for q in object_queries]))
         assert list(columns.fingerprints()) == \
             [q.fingerprint() for q in object_queries]
+
+    def test_from_queries_aggregates_per_request_tuple(self, traces):
+        """Aggregates are memoised per distinct tuple of request objects:
+        shared, reordered, partial and empty request lists all count
+        exactly like a per-query walk, and deadlines are snapshotted."""
+        base = queries_from_traces(traces, 6, [float(i) for i in range(6)])
+        mixed = [
+            ServingQuery(query_id=0, arrival_us=0.0,
+                         requests=base[0].requests),
+            ServingQuery(query_id=1, arrival_us=1.0,
+                         requests=list(base[0].requests), deadline_us=9.0),
+            ServingQuery(query_id=2, arrival_us=2.0,
+                         requests=base[1].requests[:2]),
+            ServingQuery(query_id=3, arrival_us=3.0,
+                         requests=base[1].requests[::-1]),
+            ServingQuery(query_id=4, arrival_us=4.0, requests=[]),
+        ]
+        columns = QueryColumns.from_queries(mixed)
+        assert columns.lookups.tolist() == \
+            [query.total_lookups for query in mixed]
+        assert columns.poolings.tolist() == \
+            [sum(len(r.lengths) for r in query.requests) for query in mixed]
+        assert columns.num_requests.tolist() == \
+            [len(query.requests) for query in mixed]
+        assert np.isnan(columns.deadline_us[[0, 2, 3, 4]]).all()
+        assert columns.deadline_us[1] == 9.0
+        mixed[1].deadline_us = 5.0
+        assert columns.deadline_us[1] == 9.0
 
     def test_materialized_views_serve_requests(self, object_queries,
                                                columns):
@@ -146,8 +179,6 @@ class TestClusterEquivalence:
                                                    slo, admission):
         with ShardedServingCluster(num_nodes=2,
                                    node_system="recnmp-opt") as cluster:
-            # Fresh object queries per trial: slo_policy assignment
-            # mutates ServingQuery deadlines in place.
             object_report = cluster.simulate(
                 queries_from_traces(traces, NUM_QUERIES, _arrivals()),
                 engine=engine, slo_policy=slo, admission=admission)

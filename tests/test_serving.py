@@ -112,7 +112,7 @@ class TestBatcher:
         first = batches[0]
         assert first.batching_delay_us(first.queries[0]) == pytest.approx(3.0)
         assert first.batching_delay_us(first.queries[-1]) == 0.0
-        counts = frontend.trigger_counts(batches)
+        counts = batches.trigger_counts()
         assert counts == {"size": 1, "deadline": 1}
 
     def test_deadline_boundary_starts_a_new_batch(self):

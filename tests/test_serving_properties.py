@@ -1,28 +1,39 @@
-"""Property-based tests for the array-native serving path.
+"""Property-based tests for the serving pipeline.
 
-Two invariants of the columns pipeline, checked over generated streams
-rather than hand-picked cases:
+Invariants of the columns pipeline -- the serving layer's one query
+representation -- checked over generated streams rather than
+hand-picked cases:
 
 * the array batcher (:func:`form_batch_columns`) forms exactly the
-  batches of the object :class:`BatchingFrontend`, and chunked formation
-  with a carried open batch equals one-shot formation for every legal
-  chunk size;
+  batches of a per-query reference loop of the two-trigger policy, and
+  chunked formation with a carried open batch equals one-shot formation
+  for every legal chunk size;
 * the interpolating service model answers a
   :class:`~repro.serving.query_columns.BatchColumns`, a list of its
   :class:`~repro.serving.query_columns.ColumnBatch` views and one batch
   at a time with bitwise-equal times, after the same calibration
-  sequence.
+  sequence;
+* a full :meth:`ShardedServingCluster.simulate` over random small
+  configurations: every query's latency covers its batching delay plus
+  its batch's service time, the measured utilisation never exceeds 1,
+  tracing never changes the report, and object input serves the same
+  report as the same queries passed as columns.
 """
 
+import dataclasses
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Tracer
 from repro.perf.service_model import InterpolatingServiceModel
 from repro.serving import (
     BatchingFrontend,
     QueryColumns,
     ServingQuery,
+    ShardedServingCluster,
     form_batch_columns,
     queries_from_traces,
 )
@@ -55,6 +66,29 @@ def _queries(arrivals):
             for index, arrival in enumerate(arrivals)]
 
 
+def _reference_batches(arrivals, max_queries, max_delay_us):
+    """The two-trigger policy, one query at a time: ``(ids, open,
+    formed, deadline-triggered)`` rows in dispatch order."""
+    rows, members, open_us = [], [], None
+    for arrival, query_id in sorted(
+            (float(arrival), query_id)
+            for query_id, arrival in enumerate(arrivals)):
+        # A batch expires *at* open + max_delay: a query arriving then
+        # opens the next batch.
+        if members and arrival >= open_us + max_delay_us:
+            rows.append((members, open_us, open_us + max_delay_us, 1))
+            members = []
+        if not members:
+            open_us = arrival
+        members.append(query_id)
+        if len(members) >= max_queries:
+            rows.append((members, open_us, arrival, 0))
+            members = []
+    if members:
+        rows.append((members, open_us, open_us + max_delay_us, 1))
+    return rows
+
+
 def _batch_rows(batch_columns):
     """(query ids, open, formed, trigger) per batch, as plain values."""
     ids = batch_columns.columns.query_id.tolist()
@@ -77,11 +111,9 @@ class TestBatcherProperties:
         formed, carry = form_batch_columns(
             QueryColumns.from_queries(queries), max_queries, max_delay_us)
         assert carry is None
-        expected = [([query.query_id for query in batch.queries],
-                     batch.open_us, batch.formed_us,
-                     int(batch.trigger == "deadline"))
-                    for batch in frontend.form_batches(queries)]
+        expected = _reference_batches(arrivals, max_queries, max_delay_us)
         assert _batch_rows(formed) == expected
+        assert _batch_rows(frontend.form_batches(queries)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(batching_cases())
@@ -199,3 +231,77 @@ class TestServiceModelProperties:
         assert stats["interpolated_calls"] == len(batch_columns)
         assert grid_keys == _expected_rows(batch_columns, pooling_factors)
         assert np.isfinite(np.frombuffer(times)).all()
+
+
+# --------------------------------------------------------------------- #
+# Full simulate                                                         #
+# --------------------------------------------------------------------- #
+SIM_TRACES = make_production_table_traces(num_lookups_per_table=96,
+                                          num_rows=1000,
+                                          num_tables=NUM_TABLES, seed=1)
+
+
+@pytest.fixture(scope="module")
+def sim_clusters():
+    """One small cluster per frontend count; the service cache is shared
+    across examples (service times are pure functions of content, and
+    the cycled request pool bounds the distinct compositions)."""
+    clusters = {frontends: ShardedServingCluster(
+        num_nodes=2, node_system="recnmp-base", num_frontends=frontends,
+        table_rows=1000, vector_size_bytes=64)
+        for frontends in (1, 2, 3)}
+    yield clusters
+    for cluster in clusters.values():
+        cluster.close()
+
+
+@st.composite
+def simulate_cases(draw):
+    """(queries, frontends, engine, max_queries, max_delay_us, slo_us)."""
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+                         min_size=1, max_size=40))
+    arrivals = np.cumsum([draw(st.floats(0.0, 1e4))] + gaps[1:])
+    queries = queries_from_traces(SIM_TRACES, len(arrivals),
+                                  arrivals.tolist(), batch_size=2,
+                                  pooling_factor=4)
+    return (queries,
+            draw(st.sampled_from((1, 2, 3))),
+            draw(st.sampled_from(("analytic", "event", "event-edf"))),
+            draw(st.integers(1, 8)),
+            draw(st.sampled_from((0.0, 5.0, 30.0, 200.0))),
+            draw(st.sampled_from((None, 20.0, 400.0))))
+
+
+class TestSimulateProperties:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(simulate_cases())
+    def test_simulate_invariants(self, sim_clusters, case):
+        queries, frontends, engine, max_queries, max_delay_us, slo_us = \
+            case
+        cluster = sim_clusters[frontends]
+        frontend = BatchingFrontend(max_queries=max_queries,
+                                    max_delay_us=max_delay_us)
+
+        def run(source, trace=None):
+            return dataclasses.asdict(cluster.simulate(
+                source, frontend=frontend, engine=engine,
+                slo_policy=slo_us, trace=trace))
+
+        tracer = Tracer()
+        traced = run(queries, trace=tracer)
+        assert traced == run(queries)
+        assert traced == run(QueryColumns.from_queries(queries))
+
+        capture = tracer.capture
+        delay = capture.per_query(capture.batch_ready_us) \
+            - capture.query_arrival_us
+        floor = delay + capture.per_query(capture.batch_service_us)
+        assert (capture.query_latency_us
+                >= floor - 1e-9 * np.maximum(1.0, np.abs(floor))).all()
+        if engine != "analytic":
+            # The busy span is (complete - ready) at absolute times up
+            # to ~1e4 us, so it carries rounding of that magnitude.
+            assert traced["extras"]["measured_utilization"] <= 1.0 + 1e-9
+        assert ("slo" in traced["extras"]) == (slo_us is not None)
+

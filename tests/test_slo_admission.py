@@ -14,6 +14,7 @@ from repro.serving import (
     NoAdmission,
     PerTableSLOPolicy,
     PoissonArrivalProcess,
+    QueryColumns,
     QueueDepthAdmission,
     ServicePercentileSLOPolicy,
     ServingQuery,
@@ -56,10 +57,13 @@ def make_query(query_id, arrival_us, num_tables=1, lookups=8,
 class TestSLOPolicies:
     def test_fixed_policy_assigns_absolute_deadlines(self):
         queries = [make_query(i, arrival_us=10.0 * i) for i in range(3)]
-        FixedSLOPolicy(500.0).assign_deadlines(queries)
-        for query in queries:
-            assert query.deadline_us == query.arrival_us + 500.0
-            assert query.slack_us == 500.0
+        columns = QueryColumns.from_queries(queries)
+        FixedSLOPolicy(500.0).assign_deadlines_columns(columns)
+        for view in columns.views():
+            assert view.deadline_us == view.arrival_us + 500.0
+            assert view.slack_us == 500.0
+        # The deadlines live in the column, not on the query objects.
+        assert all(query.deadline_us is None for query in queries)
 
     def test_per_table_policy_scales_with_fanout(self):
         policy = PerTableSLOPolicy(base_us=100.0, per_table_us=50.0)
@@ -102,8 +106,9 @@ class TestSLOPolicies:
     def test_deadline_never_changes_fingerprint(self):
         query = make_query(0, 0.0)
         before = query.fingerprint()
-        FixedSLOPolicy(100.0).assign_deadlines([query])
-        assert query.fingerprint() == before
+        columns = QueryColumns.from_queries([query])
+        FixedSLOPolicy(100.0).assign_deadlines_columns(columns)
+        assert columns.fingerprints() == [before]
 
 
 class TestSummarizeSLO:
@@ -403,6 +408,40 @@ class TestClusterSLOIntegration:
     def test_no_slo_no_extras(self):
         report = self.build_cluster().simulate(self.build_queries())
         assert "slo" not in report.extras
+
+    def test_slo_policy_never_mutates_caller_queries(self):
+        """Regression: policy deadlines were written onto the caller's
+        query objects, so a later run without ``slo_policy`` still
+        reported SLO accounting."""
+        cluster = self.build_cluster()
+        queries = self.build_queries()
+        def snapshot():
+            return [(query.query_id, query.arrival_us, query.deadline_us,
+                     [id(request) for request in query.requests])
+                    for query in queries]
+
+        before = snapshot()
+        first = cluster.simulate(queries, slo_policy=500.0,
+                                 admission="deadline")
+        assert first.extras["slo"]["num_with_deadline"] > 0
+        assert snapshot() == before
+        assert all(query.deadline_us is None for query in queries)
+        second = cluster.simulate(queries)
+        assert "slo" not in second.extras
+        # Caller-owned columns are left alone too.
+        columns = QueryColumns.from_queries(queries)
+        cluster.simulate(columns, slo_policy=500.0)
+        assert np.isnan(columns.deadline_us).all()
+
+    def test_hand_set_deadlines_are_honoured(self):
+        cluster = self.build_cluster()
+        queries = self.build_queries()
+        for query in queries[::4]:
+            query.deadline_us = query.arrival_us + 1e6
+        report = cluster.simulate(queries)
+        slo = report.extras["slo"]
+        assert slo["num_with_deadline"] == len(queries[::4])
+        assert slo["deadlines_met"] == len(queries[::4])
 
     def test_passive_accounting_keeps_percentiles(self):
         cluster = self.build_cluster()
