@@ -15,14 +15,27 @@ Three ways out of the observability layer:
   plain-text tables for terminals; they *return* strings (library code
   never prints -- the ``obs-hygiene`` lint rule enforces exactly that).
 
+Every trace goes through one encoder: :func:`write_chrome_trace`
+streams the JSON text slice by slice straight from the capture arrays
+(``.tolist()`` values turned to text by ``float.__repr__`` and
+``int.__repr__``, exactly the text ``json`` emits), and
+:func:`chrome_trace` is ``json.loads`` of that same text.  Anything caller-supplied (the label,
+``run_info``, frontend names, node lists) goes through ``json.dumps``.
+Every float is checked finite before the file is opened, so a
+non-finite value raises ``ValueError`` and leaves no file behind.
+
 Traces can be huge -- a million queries would emit six million span
-events -- so :func:`chrome_trace` caps per-query span emission at
-``max_query_spans`` (default below), keeps *all* batch and counter
-events, and records the truncation in the trace metadata.  Validation
-against the checked-in ``trace_schema.json`` uses the small JSON-schema
-subset interpreter in :func:`validate_json` (no external dependency).
+events -- so the module-level exporters cap per-query span emission at
+``max_query_spans`` (:data:`DEFAULT_MAX_QUERY_SPANS`), keep *all* batch
+and counter events, and record the truncation in the trace metadata.
+:meth:`Tracer.write_chrome_trace <repro.obs.tracing.Tracer
+.write_chrome_trace>` and ``python -m repro serve --trace`` pass
+``max_query_spans=None`` and write every span.  Validation against the
+checked-in ``trace_schema.json`` uses the small JSON-schema subset
+interpreter in :func:`validate_json` (no external dependency).
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -30,14 +43,49 @@ import numpy as np
 
 from repro.obs.tracing import QUERY_STAGES
 
-#: Default cap on per-query async span emission (3 events-pairs each);
-#: batch slices and counter series are never capped.
+#: Default cap on per-query async span emission (3 events-pairs each)
+#: of :func:`chrome_trace` and :func:`write_chrome_trace`; batch slices
+#: and counter series are never capped.
 DEFAULT_MAX_QUERY_SPANS = 20_000
 
 #: Synthetic pids grouping the trace rows in the viewer.
 _PID_FRONTENDS = 1
 _PID_QUERIES = 2
 _PID_CLUSTER = 3
+
+#: Rows encoded per slice (one row is one event, six for a query's
+#: stage spans), bounding the text held in memory at once.
+_SLICE_ROWS = 1024
+
+#: Value text by column dtype kind: ``float.__repr__`` and
+#: ``int.__repr__`` are exactly what ``json`` emits; object columns
+#: already hold ``json.dumps`` text.
+_TEXT = {"f": float.__repr__, "i": int.__repr__}
+
+_PROCESS_EVENT = ('{"name": "process_name", "ph": "M", "pid": %s, '
+                  '"tid": 0, "args": {"name": %s}}')
+_THREAD_EVENT = ('{"name": "thread_name", "ph": "M", "pid": '
+                 + str(_PID_FRONTENDS)
+                 + ', "tid": %s, "args": {"name": %s}}')
+_BATCH_EVENT = ('{"name": "batch %s", "cat": "batch", "ph": "X", "pid": '
+                + str(_PID_FRONTENDS)
+                + ', "tid": %s, "ts": %s, "dur": %s, "args": {"size": %s, '
+                '"trigger": %s, "queue_wait_us": %s%s}}')
+_DEPTH_EVENT = ('{"name": "queue_depth", "cat": "queue", "ph": "C", '
+                '"pid": ' + str(_PID_CLUSTER) + ', "tid": 0, "ts": %s, '
+                '"args": {"waiting_batches": %s}}')
+_NODE_EVENT = ('{"name": "node%d_active_batches", "cat": "nodes", '
+               '"ph": "C", "pid": ' + str(_PID_CLUSTER)
+               + ', "tid": 0, "ts": %%s, "args": {"batches": %%s}}')
+_SPAN_EVENT = ('{"name": "%s", "cat": "query", "ph": "%s", "id": "q%%s", '
+               '"pid": ' + str(_PID_QUERIES) + ', "tid": 0, "ts": %%s}')
+#: A query's six stage-span events; ``(formed, start)`` bound two
+#: stages each, so each row formats ``(id, ts)`` six times.
+_QUERY_SPANS = ", ".join(_SPAN_EVENT % (stage, phase)
+                         for stage in QUERY_STAGES for phase in "be")
+_SHED_EVENT = ('{"name": "shed q%s", "cat": "admission", "ph": "i", '
+               '"pid": ' + str(_PID_QUERIES) + ', "tid": 0, "ts": %s, '
+               '"s": "p"}')
 
 
 # --------------------------------------------------------------------- #
@@ -46,86 +94,44 @@ _PID_CLUSTER = 3
 def chrome_trace(tracer, max_query_spans=DEFAULT_MAX_QUERY_SPANS):
     """The tracer's timeline as a Chrome trace-event JSON object.
 
-    Timestamps are simulated microseconds, which is natively the Chrome
-    ``ts`` unit -- the Perfetto timeline reads directly in sim time.
+    ``json.loads`` of exactly the text :func:`write_chrome_trace`
+    writes.  Timestamps are simulated microseconds, which is natively
+    the Chrome ``ts`` unit -- the Perfetto timeline reads directly in
+    sim time.
+    """
+    return json.loads("".join(_trace_text(tracer, max_query_spans)))
+
+
+def write_chrome_trace(tracer, path,
+                       max_query_spans=DEFAULT_MAX_QUERY_SPANS):
+    """Stream the trace's JSON text to ``path``; returns the path.
+
+    Raises ``ValueError`` for a non-finite value before ``path`` is
+    opened, so a failed export leaves no partial file.
+    """
+    text = _trace_text(tracer, max_query_spans)
+    path = Path(path)
+    with path.open("w") as handle:
+        handle.writelines(text)
+    return path
+
+
+def _trace_text(tracer, max_query_spans):
+    """Validate the tracer's run, then iterate the trace's JSON text.
+
+    Everything that can fail -- a missing run, a non-finite value, an
+    unencodable ``run_info`` -- fails here, before the first chunk.
     """
     capture = tracer.capture
     if capture is None:
         raise ValueError("tracer holds no run; simulate with trace= "
                          "before exporting")
-    events = []
-    events.append(_meta(_PID_FRONTENDS, "process_name",
-                        {"name": "dispatch frontends"}))
-    events.append(_meta(_PID_QUERIES, "process_name",
-                        {"name": "queries"}))
-    events.append(_meta(_PID_CLUSTER, "process_name",
-                        {"name": "cluster"}))
-    lanes = tracer.frontend_assignments()
-    for lane in range(capture.num_servers):
-        events.append(_meta(_PID_FRONTENDS, "thread_name",
-                            {"name": "frontend %d" % lane}, tid=lane))
-    waits = capture.batch_start_us - capture.batch_ready_us
-    for index in range(capture.num_batches):
-        args = {"size": int(capture.batch_sizes[index]),
-                "trigger": capture.batch_triggers[index],
-                "queue_wait_us": float(waits[index])}
-        if tracer.batch_nodes is not None:
-            args["nodes"] = list(tracer.batch_nodes[index])
-        events.append({
-            "name": "batch %d" % index,
-            "cat": "batch",
-            "ph": "X",
-            "pid": _PID_FRONTENDS,
-            "tid": int(lanes[index]),
-            "ts": float(capture.batch_start_us[index]),
-            "dur": float(capture.batch_service_us[index]),
-            "args": args,
-        })
-    # Dispatch-queue depth counter.
-    depth_times, depths = tracer.queue_depth_series()
-    for time_us, depth in zip(depth_times, depths):
-        events.append({
-            "name": "queue_depth",
-            "cat": "queue",
-            "ph": "C",
-            "pid": _PID_CLUSTER,
-            "tid": 0,
-            "ts": float(time_us),
-            "args": {"waiting_batches": int(depth)},
-        })
-    # Per-node activity counters from the routing replay.
-    if tracer.batch_nodes is not None:
-        events.extend(_node_activity_events(tracer, capture))
-    # Per-query lifecycle spans (async, possibly capped).
-    spans = tracer.query_spans()
     num_spans = capture.num_queries if max_query_spans is None \
         else min(capture.num_queries, int(max_query_spans))
-    stage_edges = ("arrival_us", "formed_us", "start_us", "complete_us")
-    for position in range(num_spans):
-        span_id = "q%d" % int(spans["query_id"][position])
-        for stage, begin_key, end_key in zip(QUERY_STAGES, stage_edges,
-                                             stage_edges[1:]):
-            for phase, key in (("b", begin_key), ("e", end_key)):
-                events.append({
-                    "name": stage,
-                    "cat": "query",
-                    "ph": phase,
-                    "id": span_id,
-                    "pid": _PID_QUERIES,
-                    "tid": 0,
-                    "ts": float(spans[key][position]),
-                })
-    for query_id, arrival in zip(tracer.shed_query_id,
-                                 tracer.shed_arrival_us):
-        events.append({
-            "name": "shed q%d" % int(query_id),
-            "cat": "admission",
-            "ph": "i",
-            "pid": _PID_QUERIES,
-            "tid": 0,
-            "ts": float(arrival),
-            "s": "p",
-        })
+    sections = _event_sections(tracer, capture, num_spans)
+    for _, columns in sections:
+        for column in columns:
+            _require_finite(column)
     metadata = dict(tracer.run_info)
     metadata.update({
         "engine": capture.engine,
@@ -139,68 +145,134 @@ def chrome_trace(tracer, max_query_spans=DEFAULT_MAX_QUERY_SPANS):
     })
     if tracer.label is not None:
         metadata["label"] = tracer.label
-    return {"traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": metadata}
+    tail = '], "displayTimeUnit": "ms", "otherData": %s}' \
+        % json.dumps(metadata, allow_nan=False)
+    return itertools.chain(['{"traceEvents": ['], _encode(sections), [tail])
 
 
-def _meta(pid, name, args, tid=0):
-    return {"name": name, "ph": "M", "pid": pid, "tid": tid, "args": args}
+def _encode(sections):
+    """The one trace encoder: ``", "``-joined event text, one slice
+    of at most :data:`_SLICE_ROWS` rows at a time.
+
+    A section is ``(template, columns)``; row ``i`` is ``template %
+    tuple(text of column[i] for column in columns)``.  A column listed
+    more than once is converted to text once per slice.
+    """
+    separator = ""
+    for template, columns in sections:
+        for low in range(0, len(columns[0]), _SLICE_ROWS):
+            texts = {}
+            for column in columns:
+                if id(column) not in texts:
+                    values = column[low:low + _SLICE_ROWS].tolist()
+                    texts[id(column)] = values if column.dtype.kind == "O" \
+                        else list(map(_TEXT[column.dtype.kind], values))
+            rows = zip(*[texts[id(column)] for column in columns])
+            yield separator + ", ".join(map(template.__mod__, rows))
+            separator = ", "
 
 
-def _node_activity_events(tracer, capture):
+def _event_sections(tracer, capture, num_spans):
+    """Every event kind as a ``(template, columns)`` section, in the
+    trace's event order: process and frontend names, batch slices, the
+    queue-depth counter, per-node activity counters, per-query stage
+    spans and shed instants."""
+    num_lanes = capture.num_servers
+    sections = [
+        (_PROCESS_EVENT, [
+            np.array([_PID_FRONTENDS, _PID_QUERIES, _PID_CLUSTER]),
+            _json_texts(["dispatch frontends", "queries", "cluster"])]),
+        (_THREAD_EVENT, [
+            np.arange(num_lanes),
+            _json_texts(["frontend %d" % lane
+                         for lane in range(num_lanes)])]),
+    ]
+    batch_columns = [
+        np.arange(capture.num_batches),
+        tracer.frontend_assignments(),
+        capture.batch_start_us,
+        capture.batch_service_us,
+        capture.batch_sizes,
+        _json_texts(capture.batch_triggers),
+        capture.batch_start_us - capture.batch_ready_us,
+    ]
+    if tracer.batch_nodes is None:
+        batch_columns.append(np.full(capture.num_batches, "", dtype=object))
+    else:
+        nodes_args = {nodes: ', "nodes": %s' % json.dumps(list(nodes))
+                      for nodes in dict.fromkeys(tracer.batch_nodes)}
+        batch_columns.append(np.array(
+            [nodes_args[nodes] for nodes in tracer.batch_nodes],
+            dtype=object))
+    sections.append((_BATCH_EVENT, batch_columns))
+    sections.append((_DEPTH_EVENT, list(tracer.queue_depth_series())))
+    if tracer.batch_nodes is not None:
+        sections += _node_activity_sections(tracer, capture)
+    spans = tracer.query_spans()
+    ids, arrival, formed, start, complete = (
+        spans[key][:num_spans] for key in
+        ("query_id", "arrival_us", "formed_us", "start_us", "complete_us"))
+    sections.append((_QUERY_SPANS, [ids, arrival, ids, formed,
+                                    ids, formed, ids, start,
+                                    ids, start, ids, complete]))
+    sections.append((_SHED_EVENT, [tracer.shed_query_id,
+                                   tracer.shed_arrival_us]))
+    return sections
+
+
+def _json_texts(values):
+    """``json.dumps`` of each (hashable) value, as an object column."""
+    texts = {value: json.dumps(value) for value in dict.fromkeys(values)}
+    return np.array([texts[value] for value in values], dtype=object)
+
+
+def _node_activity_sections(tracer, capture):
     """Counter track per node: batches in flight on that node."""
-    events = []
+    fanout = [len(nodes) for nodes in tracer.batch_nodes]
+    node_ids = np.fromiter((node for nodes in tracer.batch_nodes
+                            for node in nodes), dtype=np.int64,
+                           count=sum(fanout))
+    on_node = np.zeros((capture.num_batches, tracer.num_nodes), dtype=bool)
+    on_node[np.repeat(np.arange(capture.num_batches), fanout),
+            node_ids] = True
+    sections = []
     for node in range(tracer.num_nodes):
-        starts = np.asarray(
-            [capture.batch_start_us[index]
-             for index, nodes in enumerate(tracer.batch_nodes)
-             if node in nodes], dtype=np.float64)
-        completes = np.asarray(
-            [capture.batch_complete_us[index]
-             for index, nodes in enumerate(tracer.batch_nodes)
-             if node in nodes], dtype=np.float64)
+        mask = on_node[:, node]
+        completes = capture.batch_complete_us[mask]
+        starts = capture.batch_start_us[mask]
         times = np.concatenate([completes, starts])
         deltas = np.concatenate(
             [np.full(completes.size, -1, dtype=np.int64),
              np.ones(starts.size, dtype=np.int64)])
         order = np.argsort(times, kind="stable")
-        active = np.cumsum(deltas[order])
-        for time_us, count in zip(times[order], active):
-            events.append({
-                "name": "node%d_active_batches" % node,
-                "cat": "nodes",
-                "ph": "C",
-                "pid": _PID_CLUSTER,
-                "tid": 0,
-                "ts": float(time_us),
-                "args": {"batches": int(count)},
-            })
-    return events
+        sections.append((_NODE_EVENT % node,
+                         [times[order], np.cumsum(deltas[order])]))
+    return sections
 
 
-def write_chrome_trace(tracer, path,
-                       max_query_spans=DEFAULT_MAX_QUERY_SPANS):
-    """Serialise :func:`chrome_trace` to ``path``; returns the path."""
-    trace = chrome_trace(tracer, max_query_spans=max_query_spans)
-    path = Path(path)
-    with path.open("w") as handle:
-        json.dump(trace, handle, allow_nan=False)
-    return path
+def _require_finite(column):
+    """The ``allow_nan=False`` contract, checked on a whole column."""
+    if column.dtype.kind == "f" and not np.isfinite(column).all():
+        raise ValueError("Out of range float values are not JSON "
+                         "compliant: %r"
+                         % column[~np.isfinite(column)][0].item())
 
 
 # --------------------------------------------------------------------- #
 # Metrics JSON + terminal tables                                        #
 # --------------------------------------------------------------------- #
 def write_metrics_json(registry_or_snapshot, path):
-    """Write a metrics snapshot as indented JSON; returns the path."""
+    """Write a metrics snapshot as indented strict JSON; returns the path.
+
+    A non-finite value raises ``ValueError`` before ``path`` is opened,
+    so a failed export leaves no file behind.
+    """
     snapshot = registry_or_snapshot
     if hasattr(snapshot, "snapshot"):
         snapshot = snapshot.snapshot()
+    text = json.dumps(snapshot, indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
-    with path.open("w") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    path.write_text(text + "\n")
     return path
 
 

@@ -248,7 +248,11 @@ class Tracer:
 
     # ------------------------------------------------------------------ #
     def write_chrome_trace(self, path, max_query_spans=None):
-        """Write the Perfetto-loadable Chrome trace JSON to ``path``."""
+        """Write the Perfetto-loadable Chrome trace JSON to ``path``.
+
+        Uncapped by default: every query's stage spans are written
+        (the module-level exporter caps at ``DEFAULT_MAX_QUERY_SPANS``).
+        """
         from repro.obs.exporters import write_chrome_trace
 
         return write_chrome_trace(self, path,

@@ -7,7 +7,11 @@ list of ``ServingQuery`` objects, across every engine (``analytic``,
 SLO with deadline shedding, a token bucket, hand-set deadlines on some
 of the objects, and a custom :class:`AdmissionController` subclass that
 runs the scalar fluid-backlog loop) and both service models (``exact`` and ``interp``), plus the
-sha256 of one traced run's Chrome trace.
+sha256 of written Chrome traces: the uncapped ``Tracer`` export of one
+traced run, that run capped at 10 query spans and exported from a
+tracer with no routing replay (batch args without ``nodes``), an
+``analytic`` (approximate-timeline) run, a run that sheds nothing, and
+a run above ``exporters.write_chrome_trace``'s default span cap.
 
 The fixture was recorded when ``simulate`` still ran a separate object
 pipeline; it now pins that object input converted once to columns
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import Tracer, exporters
 from repro.perf.service_model import InterpolatingServiceModel
 from repro.serving import (
     BatchingFrontend,
@@ -35,6 +39,7 @@ from repro.serving import (
     MMPPArrivalProcess,
     ShardedServingCluster,
     queries_from_traces,
+    query_columns_from_traces,
 )
 from repro.serving.admission import AdmissionController
 from repro.traces import make_production_table_traces
@@ -49,6 +54,9 @@ ENGINES = ("analytic", "event", "event-edf")
 MODELS = ("exact", "interp")
 SETUPS = ("none", "slo-deadline", "token-bucket", "hand-deadline",
           "custom")
+#: Just above ``exporters.DEFAULT_MAX_QUERY_SPANS``, so the default-cap
+#: export truncates.
+DEFAULT_CAP_RUN_QUERIES = 20_500
 
 
 class _ParityAdmission(AdmissionController):
@@ -129,14 +137,58 @@ class _Runner:
                 "num_shed": (report.extras.get("slo") or {}).get("num_shed")}
 
     def trace_sha256(self):
+        return _written_sha256(self.golden_tracer().write_chrome_trace)
+
+    def golden_tracer(self):
         tracer = Tracer(label="golden")
         self.report("event-edf", "slo-deadline", "interp", trace=tracer)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = tracer.write_chrome_trace(Path(tmp) / "trace.json")
-            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        return tracer
+
+    def trace_sha256s(self):
+        """Written-trace digests for the export paths ``trace-sha256``
+        does not reach, keyed as in the fixture."""
+        golden = self.golden_tracer()
+        bare = Tracer(label="golden")
+        bare.record_run(golden.capture, run_info=golden.run_info)
+        bare.record_shed(golden.shed_query_id, golden.shed_arrival_us)
+        analytic = Tracer(label="golden-analytic")
+        self.report("analytic", "slo-deadline", "interp", trace=analytic)
+        no_shed = Tracer(label="golden-no-shed")
+        self.report("event", "none", "interp", trace=no_shed)
+        assert no_shed.shed_query_id.size == 0
+        capped = Tracer(label="golden-default-cap")
+        self.cluster.simulate(
+            query_columns_from_traces(
+                self.traces, DEFAULT_CAP_RUN_QUERIES,
+                MMPPArrivalProcess.from_mean(400_000.0, seed=3)),
+            frontend=self.frontend, engine="event",
+            service_model=self.models["interp"], trace=capped)
+
+        def export(tracer, **kwargs):
+            return lambda path: exporters.write_chrome_trace(
+                tracer, path, **kwargs)
+
+        return {
+            "trace-sha256-capped": _written_sha256(
+                export(golden, max_query_spans=10)),
+            "trace-sha256-no-routing": _written_sha256(
+                bare.write_chrome_trace),
+            "trace-sha256-analytic": _written_sha256(
+                analytic.write_chrome_trace),
+            "trace-sha256-no-shed": _written_sha256(
+                no_shed.write_chrome_trace),
+            "trace-sha256-default-cap": _written_sha256(export(capped)),
+        }
 
     def close(self):
         self.cluster.close()
+
+
+def _written_sha256(write):
+    """sha256 of the file ``write(path)`` produces."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "trace.json")
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +214,12 @@ def test_chrome_trace_sha256(runner):
     assert runner.trace_sha256() == _load()["trace-sha256"]
 
 
+def test_chrome_trace_export_paths_sha256(runner):
+    expected = _load()
+    for key, digest in runner.trace_sha256s().items():
+        assert digest == expected[key], key
+
+
 def regenerate():
     runner = _Runner()
     try:
@@ -170,6 +228,7 @@ def regenerate():
                  for engine in ENGINES for setup in SETUPS
                  for model in MODELS}
         cases["trace-sha256"] = runner.trace_sha256()
+        cases.update(runner.trace_sha256s())
     finally:
         runner.close()
     lines = ["%s: %s" % (json.dumps(key),

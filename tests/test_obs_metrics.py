@@ -19,6 +19,7 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     observe_finite,
+    write_metrics_json,
 )
 
 
@@ -154,3 +155,23 @@ class TestMetricsRegistry:
         assert registry.names() == ["a", "b"]
         with pytest.raises(KeyError):
             registry.get("absent")
+
+
+class TestWriteMetricsJson:
+    def test_writes_indented_sorted_json(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.gauge("util").set(0.5)
+        registry.counter("runs").inc(2)
+        path = write_metrics_json(registry, tmp_path / "metrics.json")
+        assert path.read_text() == json.dumps(
+            registry.snapshot(), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gauge_raises_and_leaves_no_file(self, tmp_path,
+                                                        value):
+        registry = MetricsRegistry()
+        registry.gauge("util").set(value)
+        path = tmp_path / "metrics.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_metrics_json(registry, path)
+        assert not path.exists()

@@ -225,6 +225,38 @@ class TestChromeTraceExport:
         assert write_chrome_trace(tracer, path) == path
         validate_chrome_trace(json.loads(path.read_text()))
 
+    @pytest.mark.parametrize("column", ["batch_start_us",
+                                        "batch_service_us",
+                                        "query_arrival_us"])
+    def test_non_finite_value_raises_and_leaves_no_file(self, traces,
+                                                        tmp_path, column):
+        tracer, _ = _traced_run(traces, "event")
+        getattr(tracer.capture, column)[3] = np.nan
+        path = tmp_path / "trace.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_chrome_trace(tracer, path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            chrome_trace(tracer)
+
+    def test_non_finite_run_info_raises_and_leaves_no_file(self, traces,
+                                                           tmp_path):
+        tracer, _ = _traced_run(traces, "event")
+        tracer.run_info["offered_qps"] = np.inf
+        path = tmp_path / "trace.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            tracer.write_chrome_trace(path)
+        assert not path.exists()
+
+    def test_capped_spans_ignore_values_past_the_cap(self, traces,
+                                                     tmp_path):
+        tracer, _ = _traced_run(traces, "event")
+        tracer.capture.query_arrival_us[-1] = np.nan
+        path = write_chrome_trace(tracer, tmp_path / "trace.json",
+                                  max_query_spans=10)
+        assert json.loads(path.read_text())["otherData"][
+            "query_spans_emitted"] == 10
+
     def test_shed_queries_emit_instant_events(self, traces):
         tracer = Tracer()
         with _cluster() as cluster:
