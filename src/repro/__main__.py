@@ -83,6 +83,7 @@ workload.
 
 import argparse
 import cProfile
+import functools
 import io
 import json
 import math
@@ -338,18 +339,24 @@ def _format_tier_stats(stats):
         stats["entries"], stats["hits"], stats["misses"], rate)
 
 
-def cmd_serve(args):
+def _serve_range_error(args):
+    """The usage error of a ``serve`` flag value out of its range (one
+    that depends on another flag or on a sign argparse's ``type=`` does
+    not check), or ``None``."""
     if args.slo_us is not None and args.slo_us <= 0:
-        raise SystemExit("error: --slo-us must be positive")
+        return "--slo-us must be positive"
+    if args.request_overhead is not None and args.request_overhead < 0:
+        return "--request-overhead must be non-negative"
+    if args.stream_chunk is not None and args.stream_chunk < args.max_batch:
+        return "--stream-chunk must be >= --max-batch (%d)" % args.max_batch
+    return None
+
+
+def cmd_serve(args):
     if args.admission == "deadline" and args.slo_us is None:
         raise SystemExit("error: --admission deadline sheds by deadline "
                          "slack; pass --slo-us to assign one")
-    if args.request_overhead is not None and args.request_overhead < 0:
-        raise SystemExit("error: --request-overhead must be non-negative")
     if args.stream_chunk is not None:
-        if args.stream_chunk < args.max_batch:
-            raise SystemExit("error: --stream-chunk must be >= "
-                             "--max-batch (%d)" % args.max_batch)
         if args.shard_policy == "load-aware" or args.replicas > 1:
             raise SystemExit("error: --stream-chunk streams queries in "
                              "chunks, but load-aware placement and "
@@ -430,6 +437,11 @@ def cmd_serve(args):
         # its connection, which close() releases (the metrics snapshot
         # polls the same store collector).
         service_stats = cluster.service_stats()
+        store = cluster.service_store
+        if store is not None and store.broken_reason is not None:
+            print("warning: service-time store %s is unusable (%s); "
+                  "served without it" % (store.path, store.broken_reason),
+                  file=sys.stderr)
         metrics_snapshot = (cluster.metrics.snapshot()
                             if args.metrics_json is not None else None)
     if tracer is not None:
@@ -619,13 +631,16 @@ def cmd_lint(args):
 
 
 def build_parser():
+    # allow_abbrev=False everywhere: a prefix such as --service-store
+    # must be an error, not silently mean --service-store-dir.
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="RecNMP reproduction: unified system runner")
+        description="RecNMP reproduction: unified system runner",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sub.add_parser("list-systems",
-                   help="list registered embedding systems")
+    add_parser("list-systems", help="list registered embedding systems")
 
     def add_workload_args(p, trace_flag="--trace"):
         p.add_argument("--system", default="recnmp-opt",
@@ -651,10 +666,10 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        help="emit the result as JSON")
 
-    run = sub.add_parser("run", help="run one system on a workload")
+    run = add_parser("run", help="run one system on a workload")
     add_workload_args(run)
 
-    profile = sub.add_parser(
+    profile = add_parser(
         "profile", help="cProfile a system's workload run")
     add_workload_args(profile)
     profile.add_argument("system_name", nargs="?", default=None,
@@ -671,7 +686,7 @@ def build_parser():
                               "exclude one-time setup (JIT compilation, "
                               "worker pools)")
 
-    lint = sub.add_parser(
+    lint = add_parser(
         "lint", help="run the repo invariant linter (repro.analysis)")
     lint.add_argument("paths", nargs="*",
                       help="files or directories to lint (default: the "
@@ -683,8 +698,7 @@ def build_parser():
     lint.add_argument("--json", action="store_true",
                       help="emit findings as JSON")
 
-    serve = sub.add_parser("serve",
-                           help="drive a sharded serving cluster")
+    serve = add_parser("serve", help="drive a sharded serving cluster")
     # serve spells the workload locality flag --workload-trace so that
     # --trace can name the Perfetto trace output file.
     add_workload_args(serve, trace_flag="--workload-trace")
@@ -763,7 +777,7 @@ def build_parser():
                             "repeated runs re-simulate instead of "
                             "warm-starting from the store")
 
-    report = sub.add_parser(
+    report = add_parser(
         "report", help="pretty-print a serve --metrics-json snapshot")
     report.add_argument("metrics_json", metavar="metrics.json",
                         help="metrics snapshot written by "
@@ -772,7 +786,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve":
+        problem = _serve_range_error(args)
+        if problem is not None:
+            parser.error(problem)
     if args.command == "list-systems":
         return cmd_list_systems(args)
     if args.command == "run":

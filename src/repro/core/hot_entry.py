@@ -60,8 +60,7 @@ class HotEntryProfiler:
 
     def profile(self, indices, table_id=0):
         """Profile one batch of row indices; returns a :class:`ProfileResult`."""
-        indices = np.asarray(indices, dtype=np.int64)
-        counts = Counter(int(i) for i in indices)
+        counts = Counter(np.asarray(indices, dtype=np.int64).tolist())
         hot_rows = {row for row, count in counts.items()
                     if count >= self.threshold}
         return ProfileResult(table_id=table_id, threshold=self.threshold,

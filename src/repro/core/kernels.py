@@ -1,13 +1,14 @@
 """Compiled kernel for the rank-NMP command-issue hot loop.
 
 The DDR command-issue inner loop (windowed FR-FCFS selection plus the
-bank/rank state machine of :meth:`RankNMP._dram_read`) dominates exact
-simulation time.  This module holds that loop, and the FR-FCFS packet
-reorder of the memory controller, as flat *struct-of-arrays* kernels
-over ``int64`` state instead of ``Bank`` / ``Rank`` / ``RankCache``
-objects: :func:`_execute_window_flat` and :func:`_reorder_window_flat`,
-written in the numba-compilable subset of Python (numpy scalars, plain
-loops, an ``int64 -> int64`` dict for cache residency).
+bank/rank state machine, fused in :meth:`RankNMP.execute_instructions`)
+dominates exact simulation time.  This module holds that loop, and the
+FR-FCFS packet reorder of the memory controller, as flat
+*struct-of-arrays* kernels over ``int64`` state instead of ``Bank`` /
+``Rank`` / ``RankCache`` objects: :func:`_execute_window_flat` and
+:func:`_reorder_window_flat`, written in the numba-compilable subset of
+Python (numpy scalars, plain loops, an ``int64 -> int64`` dict for cache
+residency).
 
 One implementation runs per host, chosen once at import:
 
@@ -214,10 +215,10 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
                          exec_order):
     """Windowed FR-FCFS execution over flat int64 state.
 
-    Mirrors ``RankNMP.execute_instructions`` (selection + memoised
-    rank-part estimates) fused with ``execute_instruction`` (cache
-    lookup, datapath latency, busy accounting) and ``_dram_read`` (the
-    bank/rank DDR state machine) -- one loop, no attribute access.
+    Mirrors the fused window loop of ``RankNMP.execute_instructions``
+    (selection with memoised rank-level estimate floors, cache lookup,
+    datapath latency, busy accounting and the bank/rank DDR state
+    machine) -- one loop, no attribute access.
     ``exec_order`` receives the execution permutation so the caller can
     replay LRU effects onto the mirroring ``OrderedDict``.
     """
@@ -399,7 +400,7 @@ def _execute_window_flat(daddrs, vsizes, computes, vbytes, localities,
             data_ready = start + cache_latency
             next_free = data_ready
         else:
-            # ---- _dram_read, inlined over flat bank state ---- #
+            # ---- PRE/ACT/RD issue sequence over flat bank state ---- #
             cycle = start
             commands_issued = 0
             first_issue = -1
@@ -595,9 +596,9 @@ def reorder_indices(rows, ranks, window_size, num_ranks):
 
     ``rows``/``ranks`` are aligned numpy int64 arrays; every rank must be
     in ``[0, num_ranks)`` (callers validate).  Returns an int64 index
-    array.  Bit-identical to the dict-based loop in
+    array.  Bit-identical to the one-pass reorder of
     ``NMPMemoryController._reorder_indices`` (``-1`` can never match a
-    real row, exactly like the empty-dict initial state).  Jitted under
+    real row, like a rank with nothing issued yet).  Jitted under
     the numba flavor, the un-jitted source otherwise.
     """
     count = len(rows)
@@ -613,11 +614,9 @@ def reorder_indices(rows, ranks, window_size, num_ranks):
 # --------------------------------------------------------------------- #
 def pack_decoded(config, daddrs):
     """Vectorised ``(bank_groups, banks, rows)`` decode of a Daddr array."""
-    blocks = daddrs // config.columns_per_row
-    bank_groups = blocks % config.num_bank_groups
-    blocks = blocks // config.num_bank_groups
-    banks = blocks % config.banks_per_group
-    rows = blocks // config.banks_per_group
+    blocks, bank_groups = np.divmod(daddrs // config.columns_per_row,
+                                    config.num_bank_groups)
+    rows, banks = np.divmod(blocks, config.banks_per_group)
     return bank_groups, banks, rows
 
 

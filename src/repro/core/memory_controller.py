@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import kernels as _kernels
-from repro.core.instruction import NMPInstruction
+from repro.core.instruction import PackedInstructions
 from repro.core.scheduler import PacketScheduler
 
 
@@ -84,53 +84,80 @@ class NMPMemoryController:
         """Channel-wide rank index an NMP-Inst is routed to."""
         return self.rank_of_address(instruction.daddr * 64)
 
-    def _packet_ranks(self, instructions):
-        """Per-instruction rank indices, computed once per packet.
+    def _packet_ranks(self, daddrs):
+        """Per-instruction rank indices of a packet's Daddr array, computed
+        once per packet and validated.
 
         Uses the vectorised ``ranks_of_addresses`` hook when available;
-        otherwise falls back to one scalar ``rank_of_address`` call per
-        instruction *in packet order* -- which is exactly the first-touch
-        order a stateful mapping (page colouring) observed when the rank
-        used to be recomputed inside every reorder scan, so assignments
-        are unchanged.
+        otherwise one scalar ``rank_of_address`` call per instruction *in
+        packet order* -- the first-touch order a stateful mapping (page
+        colouring) has always observed.  Returns an int64 array; raises
+        ``ValueError`` for a rank outside ``[0, num_ranks)``.
         """
         if self.ranks_of_addresses is not None:
-            daddrs = np.fromiter((inst.daddr for inst in instructions),
-                                 dtype=np.int64, count=len(instructions))
-            return self.ranks_of_addresses(daddrs * 64).tolist()
-        rank_of_address = self.rank_of_address
-        return [rank_of_address(inst.daddr * 64) for inst in instructions]
+            ranks = np.asarray(self.ranks_of_addresses(daddrs * 64),
+                               dtype=np.int64)
+        else:
+            rank_of_address = self.rank_of_address
+            ranks = np.fromiter(
+                (rank_of_address(daddr * 64) for daddr in daddrs.tolist()),
+                np.int64, len(daddrs))
+        if len(ranks) and (int(ranks.min()) < 0
+                           or int(ranks.max()) >= self.num_ranks):
+            bad = ranks[(ranks < 0) | (ranks >= self.num_ranks)][0]
+            raise ValueError("invalid rank %d for instruction" % int(bad))
+        return ranks
 
     def _reorder_indices(self, rows, ranks):
         """FR-FCFS reorder as an index permutation (see dispatch).
 
-        Within a sliding window, instructions that target an already-open
-        row (same row as the previous instruction to that rank) are hoisted
-        to issue consecutively.  Ordering across PsumTags is irrelevant for
+        Within a sliding window of the ``reorder_window`` oldest unissued
+        instructions, the oldest one whose row matches the last row issued
+        to its rank goes first (row-buffer hit); without a match the
+        oldest goes.  Ordering across PsumTags is irrelevant for
         correctness because each accumulates into its own register.
-        ``rows`` carries the per-instruction DRAM row (``daddr // 128``,
-        128 columns per row), precomputed by the caller so the packed
-        dispatch path can derive it as one array op.
+        ``rows`` carries the per-instruction DRAM row (``daddr // 128``)
+        and ``ranks`` the rank indices, each in ``[0, num_ranks)``.
+
+        One pass per instruction instead of a window rescan: every
+        instruction links to the next one of the same ``(rank, row)``,
+        and ``candidate[rank]`` holds the oldest unissued instruction of
+        the row last issued to that rank -- always the head of its
+        ``(rank, row)`` group, since a group only ever issues its head.
+        The pick is the smallest candidate that has entered the window,
+        else the oldest unissued instruction.
         """
         count = len(rows)
         if count <= 2:
             return list(range(count))
-        window = list(range(min(self.reorder_window, count)))
-        next_index = len(window)
-        last_row_per_rank = {}
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        if isinstance(ranks, np.ndarray):
+            ranks = ranks.tolist()
+        next_same = [count] * count
+        latest = {}
+        for index in range(count - 1, -1, -1):
+            key = (ranks[index], rows[index])
+            next_same[index] = latest.get(key, count)
+            latest[key] = index
+        candidate = [count] * self.num_ranks
+        # One trailing never-issued slot stops the oldest-pointer scan.
+        issued = bytearray(count + 1)
+        oldest = 0
+        window_end = min(self.reorder_window, count)
         order = []
-        while window:
-            chosen_pos = 0
-            for pos, index in enumerate(window):
-                if last_row_per_rank.get(ranks[index]) == rows[index]:
-                    chosen_pos = pos
-                    break
-            index = window.pop(chosen_pos)
-            if next_index < count:
-                window.append(next_index)
-                next_index += 1
-            last_row_per_rank[ranks[index]] = rows[index]
-            order.append(index)
+        append = order.append
+        for _ in range(count):
+            index = min(candidate)
+            if index >= window_end:
+                index = oldest
+            append(index)
+            issued[index] = 1
+            while issued[oldest]:
+                oldest += 1
+            candidate[ranks[index]] = next_same[index]
+            if window_end < count:
+                window_end += 1
         return order
 
     def _reorder_within_packet(self, packet):
@@ -138,10 +165,9 @@ class NMPMemoryController:
         instructions = list(packet.instructions)
         if len(instructions) <= 2:
             return instructions
-        ranks = self._packet_ranks(instructions)
-        rows = [inst.daddr // 128 for inst in instructions]
-        return [instructions[i]
-                for i in self._reorder_indices(rows, ranks)]
+        daddrs = packet.packed_arrays().daddrs
+        return [instructions[i] for i in self._reorder_indices(
+            daddrs // 128, self._packet_ranks(daddrs))]
 
     # ------------------------------------------------------------------ #
     def dispatch(self, channel, reorder=True):
@@ -153,91 +179,60 @@ class NMPMemoryController:
         rank work of consecutive packets through the rank-NMP state).
 
         Per packet, the instruction->rank mapping is computed exactly once
-        and threaded through the reorder pass, the per-rank statistics and
-        ``channel.execute_packet`` (instead of re-deriving it per window
-        scan and then again for the stats).
+        from the packet's cached Daddr array and threaded through the
+        reorder pass, the per-rank statistics and the channel.  Packets
+        of at least the kernel cutover size run array-native
+        (``channel.execute_packed``, bit-identical); smaller ones, and
+        every packet on hosts without a kernel, run on instruction
+        objects (``channel.execute_packet``).
         """
         order = self.scheduler.schedule()
         per_packet = []
         current_cycle = 0
         per_rank_counts = self.stats.per_rank_instructions
         use_packed = getattr(channel, "supports_packed", False)
-        # Tiny packets stay on the object path: the numpy packing and
-        # kernel-call fixed costs only pay for themselves past a
-        # minimum packet size (both paths are bit-identical, so mixing
-        # them within one dispatch is safe).
+        # Tiny packets stay on the object path: the kernel-call fixed
+        # costs only pay for themselves past a minimum packet size.
         packed_min = _kernels.packed_dispatch_min_instructions() \
             if use_packed else 0
         for packet in order:
-            if use_packed and len(packet.instructions) >= packed_min:
-                current_cycle, latency = self._dispatch_packed(
-                    channel, packet, current_cycle, reorder,
-                    per_rank_counts)
-                per_packet.append(latency)
-                continue
-            instructions = list(packet.instructions)
-            ranks = self._packet_ranks(instructions)
-            if reorder and len(instructions) > 2:
-                rows = [inst.daddr // 128 for inst in instructions]
-                permutation = self._reorder_indices(rows, ranks)
-                instructions = [instructions[i] for i in permutation]
-                ranks = [ranks[i] for i in permutation]
-            issue_packet = _ReorderedPacketView(packet, instructions)
+            packed = packet.packed_arrays()
+            daddrs = packed.daddrs
+            count = len(daddrs)
+            ranks = self._packet_ranks(daddrs)
+            array_native = use_packed and count >= packed_min
+            instructions = packet.instructions
+            if reorder and count > 2:
+                if array_native:
+                    permutation = _kernels.reorder_indices(
+                        daddrs // 128, ranks, self.reorder_window,
+                        self.num_ranks)
+                else:
+                    permutation = self._reorder_indices(daddrs // 128,
+                                                        ranks)
+                    instructions = [instructions[i] for i in permutation]
+                    permutation = np.array(permutation, dtype=np.int64)
+                packed = packed.take(permutation)
+                ranks = ranks[permutation]
             self.stats.counter_configurations += 1
-            completion = channel.execute_packet(
-                issue_packet, start_cycle=current_cycle,
-                rank_of_instruction=self.rank_of_instruction,
-                ranks=ranks)
+            if array_native:
+                completion = channel.execute_packed(
+                    packed, start_cycle=current_cycle, ranks=ranks)
+            else:
+                completion = channel.execute_packet(
+                    _ReorderedPacketView(packet, instructions, packed),
+                    start_cycle=current_cycle, ranks=ranks)
             per_packet.append(completion - current_cycle)
-            for rank in ranks:
-                per_rank_counts[rank] = per_rank_counts.get(rank, 0) + 1
-            self.stats.instructions_issued += len(instructions)
+            if count:
+                for rank, rank_count in enumerate(
+                        np.bincount(ranks).tolist()):
+                    if rank_count:
+                        per_rank_counts[rank] = \
+                            per_rank_counts.get(rank, 0) + rank_count
+            self.stats.instructions_issued += count
             self.stats.packets_issued += 1
             current_cycle = completion
         return current_cycle, per_packet
-
-    def _dispatch_packed(self, channel, packet, current_cycle, reorder,
-                         per_rank_counts):
-        """Array-native dispatch of one packet (no instruction objects).
-
-        Bit-identical to the object path: same rank mapping (scalar calls
-        stay in packet order for stateful mappings), same FR-FCFS
-        permutation, same back-to-back packet timing.  Returns
-        ``(completion, latency)``.
-        """
-        packed = packet.packed_arrays()
-        daddrs = packed.daddrs
-        count = len(daddrs)
-        if self.ranks_of_addresses is not None:
-            ranks = np.asarray(self.ranks_of_addresses(daddrs * 64),
-                               dtype=np.int64)
-        else:
-            rank_of_address = self.rank_of_address
-            ranks = np.fromiter(
-                (rank_of_address(daddr * 64)
-                 for daddr in daddrs.tolist()),
-                np.int64, count)
-        if count and (int(ranks.min()) < 0
-                      or int(ranks.max()) >= self.num_ranks):
-            bad = ranks[(ranks < 0) | (ranks >= self.num_ranks)][0]
-            raise ValueError("invalid rank %d for instruction" % int(bad))
-        if reorder and count > 2:
-            permutation = _kernels.reorder_indices(
-                daddrs // 128, ranks, self.reorder_window, self.num_ranks)
-            packed = packed.take(permutation)
-            ranks = ranks[permutation]
-        self.stats.counter_configurations += 1
-        completion = channel.execute_packed(
-            packed, start_cycle=current_cycle, ranks=ranks)
-        if count:
-            counts = np.bincount(ranks)
-            for rank, rank_count in enumerate(counts.tolist()):
-                if rank_count:
-                    per_rank_counts[rank] = \
-                        per_rank_counts.get(rank, 0) + rank_count
-        self.stats.instructions_issued += count
-        self.stats.packets_issued += 1
-        return completion, completion - current_cycle
 
     def reset(self):
         """Clear queued packets and statistics."""
@@ -249,19 +244,31 @@ class _ReorderedPacketView:
     """A lightweight packet proxy exposing reordered instructions.
 
     ``__slots__`` keeps the proxy explicit: its own state is exactly
-    ``(_packet, instructions, num_poolings)``, a mistyped assignment
-    raises instead of silently creating an attribute that the
+    ``(_packet, instructions, num_poolings, _packed)``, a mistyped
+    assignment raises instead of silently creating an attribute that the
     ``__getattr__`` delegation would then mask, and ``num_poolings`` is
     computed once at construction instead of rebuilding a set of PsumTags
     on every access (the channel reads it per packet completion).
+    ``packed`` optionally carries the
+    :class:`~repro.core.instruction.PackedInstructions` of
+    ``instructions`` (the packet's cached arrays, permuted), which
+    :meth:`packed_arrays` then returns instead of re-packing.
     """
 
-    __slots__ = ("_packet", "instructions", "num_poolings")
+    __slots__ = ("_packet", "instructions", "num_poolings", "_packed")
 
-    def __init__(self, packet, instructions):
+    def __init__(self, packet, instructions, packed=None):
         self._packet = packet
         self.instructions = instructions
         self.num_poolings = len({inst.psum_tag for inst in instructions})
+        self._packed = packed
+
+    def packed_arrays(self):
+        """Struct-of-arrays view of :attr:`instructions` (issue order)."""
+        if self._packed is None:
+            self._packed = PackedInstructions.from_instructions(
+                self.instructions)
+        return self._packed
 
     def __len__(self):
         return len(self.instructions)

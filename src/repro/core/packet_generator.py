@@ -9,6 +9,7 @@ packets of a configurable number of poolings (bounded by the 4-bit PsumTag).
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -20,7 +21,24 @@ from repro.core.instruction import (
     NMPInstruction,
     NMPOpcode,
     NMPPacket,
+    PackedInstructions,
 )
+
+_FULL_SEQUENCE = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
+
+
+def _tags_from_row_changes(rows, opens):
+    """Set ACT/RD/PRE presence from consecutive-access row locality.
+
+    The host-side memory controller sets the tags from the relative
+    physical address of consecutive embedding accesses: when the next
+    vector falls in the same DRAM row (``rows``) the ACT (and the
+    preceding PRE) can be elided; otherwise -- and wherever ``opens``
+    starts a new packet -- the full PRE+ACT+RD sequence is required.
+    """
+    changes = opens.copy()
+    changes[1:] |= rows[1:] != rows[:-1]
+    return np.where(changes, _FULL_SEQUENCE, DDR_CMD_RD)
 
 
 @dataclass
@@ -110,31 +128,6 @@ class PacketGenerator:
         self._last_profiles = {}
 
     # ------------------------------------------------------------------ #
-    def _daddr(self, physical_address):
-        """Compress a physical byte address into the 32-bit Daddr field."""
-        return (physical_address // 64) & 0xFFFFFFFF
-
-    def _ddr_cmd_tags(self, physical_addresses):
-        """Set ACT/RD/PRE presence from consecutive-access row locality.
-
-        The host-side memory controller sets the tags from the relative
-        physical address of consecutive embedding accesses: when the next
-        vector falls in the same DRAM row the ACT (and the preceding PRE)
-        can be elided; otherwise the full PRE+ACT+RD sequence is required.
-        """
-        row_bytes = self.config.row_buffer_bytes
-        tags = []
-        previous_row = None
-        for address in physical_addresses:
-            row = address // row_bytes
-            if previous_row is not None and row == previous_row:
-                tags.append(DDR_CMD_RD)
-            else:
-                tags.append(DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE)
-            previous_row = row
-        return tags
-
-    # ------------------------------------------------------------------ #
     def packets_for_request(self, request, model_id=0, batch_index=0,
                             profile=None):
         """Generate the NMP packets for one :class:`SLSRequest`.
@@ -142,9 +135,17 @@ class PacketGenerator:
         ``profile`` optionally passes a pre-computed
         :class:`~repro.core.hot_entry.ProfileResult`; otherwise the profiler
         runs on the request's own indices when profiling is enabled.
+
+        Addresses (one ``address_of`` call per lookup), Daddrs, DDR
+        command tags, LocalityBits and PsumTags are computed in one array
+        pass over the whole request; each packet is then a slice of those
+        arrays, and its :meth:`~repro.core.instruction.NMPPacket.
+        packed_arrays` cache is seeded from them so the dispatch path never
+        re-packs the instruction objects.
         """
         config = self.config
-        if config.enable_hot_entry_profiling and profile is None:
+        profiling = config.enable_hot_entry_profiling
+        if profiling and profile is None:
             profiler = HotEntryProfiler(threshold=config.hot_entry_threshold)
             profile = profiler.profile(request.indices,
                                        table_id=request.table_id)
@@ -157,46 +158,46 @@ class PacketGenerator:
         if not 1 <= vsize < 16:
             raise ValueError("vsize must be in [1, 16)")
         table_id = request.table_id
+        rows = request.indices.tolist()
+        count = len(rows)
+        address_of = self.address_of
+        addresses = np.array([address_of(table_id, row) for row in rows],
+                             dtype=np.int64)
+        per_packet = config.poolings_per_packet
+        poolings = np.repeat(np.arange(request.batch_size), request.lengths)
+        packet_of = poolings // per_packet
+        tags = poolings % per_packet
+        opens = np.ones(count, np.bool_)
+        opens[1:] = packet_of[1:] != packet_of[:-1]
+        ddr_cmds = _tags_from_row_changes(
+            addresses // config.row_buffer_bytes, opens)
+        daddrs = (addresses // 64) & 0xFFFFFFFF
+        if profiling:
+            hot_rows = profile.hot_rows
+            localities = [row in hot_rows for row in rows]
+        else:
+            localities = [True] * count
+        weights = [1.0] * count if request.weights is None \
+            else request.weights.tolist()
+        instructions = list(map(
+            NMPInstruction.trusted, repeat(opcode, count), ddr_cmds.tolist(),
+            daddrs.tolist(), repeat(vsize, count), weights, localities,
+            tags.tolist(), repeat(table_id, count), poolings.tolist(),
+            rows))
+        locality_array = np.array(localities, dtype=np.bool_)
+        weighted = np.array(weights) != 1.0
+        vsizes = np.full(count, vsize, dtype=np.int64)
+        bounds = np.flatnonzero(opens).tolist() + [count]
         packets = []
-        pooling_groups = list(request.pooling_slices())
-        for start in range(0, len(pooling_groups),
-                           config.poolings_per_packet):
-            group = pooling_groups[start:start + config.poolings_per_packet]
-            instructions = []
-            # Collect the physical addresses of the group in issue order to
-            # derive the DDR command tags.
-            flat = []
-            for tag_slot, (pooling_index, indices, weights) in enumerate(group):
-                for position, row in enumerate(indices):
-                    weight = (float(weights[position])
-                              if weights is not None else 1.0)
-                    flat.append((tag_slot, pooling_index, int(row), weight))
-            addresses = [self.address_of(request.table_id, row)
-                         for _, _, row, _ in flat]
-            ddr_tags = self._ddr_cmd_tags(addresses)
-            profiling = config.enable_hot_entry_profiling
-            trusted = NMPInstruction.trusted
-            append = instructions.append
-            for (tag_slot, pooling_index, row, weight), address, ddr_cmd in \
-                    zip(flat, addresses, ddr_tags):
-                locality = bool(profile.is_hot(row)) if profiling else True
-                append(trusted(
-                    opcode,
-                    ddr_cmd,
-                    (address // 64) & 0xFFFFFFFF,
-                    vsize,
-                    weight,
-                    locality,
-                    tag_slot,
-                    table_id=table_id,
-                    pooling_index=pooling_index,
-                    row_index=row,
-                ))
-            packets.append(NMPPacket(instructions=instructions,
-                                     table_id=request.table_id,
-                                     model_id=model_id,
-                                     batch_index=batch_index,
-                                     packet_id=self._packet_counter))
+        for begin, end in zip(bounds, bounds[1:]):
+            packet = NMPPacket(instructions=instructions[begin:end],
+                               table_id=table_id, model_id=model_id,
+                               batch_index=batch_index,
+                               packet_id=self._packet_counter)
+            packet._packed = PackedInstructions(
+                daddrs[begin:end], vsizes[begin:end], weighted[begin:end],
+                locality_array[begin:end], tags[begin:end])
+            packets.append(packet)
             self._packet_counter += 1
         return packets
 

@@ -13,8 +13,22 @@ through which the compressed NMP-Insts are delivered.
 
 import numpy as np
 
+from repro.core import kernels as _kernels
 from repro.core.dimm_nmp import DimmNMP
 from repro.core.rank_nmp import RankNMPConfig
+
+
+def _rank_segments(ranks):
+    """Split a packet per rank with one stable sort.
+
+    Returns ``(order, bounds)``: ``order`` lists packet positions grouped
+    by ascending rank, in packet order within a rank, and rank ``k``'s
+    positions are ``order[bounds[k]:bounds[k + 1]]``.
+    """
+    order = np.argsort(ranks, kind="stable")
+    sorted_ranks = ranks[order]
+    starts = np.flatnonzero(sorted_ranks[1:] != sorted_ranks[:-1]) + 1
+    return order, [0] + starts.tolist() + [len(ranks)]
 
 
 class RecNMPProcessingUnit:
@@ -68,6 +82,7 @@ class RecNMPChannel:
         self.ranks_per_dimm = int(ranks_per_dimm)
         self.rank_config = rank_config or RankNMPConfig()
         self.instruction_rate_per_cycle = float(instruction_rate_per_cycle)
+        self._arrival_offsets = np.empty(0, dtype=np.int64)
         self.processing_units = [
             RecNMPProcessingUnit(num_ranks=ranks_per_dimm,
                                  rank_config=self.rank_config,
@@ -104,60 +119,36 @@ class RecNMPChannel:
         """
         instructions = packet.instructions
         count = len(instructions)
-        if ranks is None:
-            if rank_of_instruction is None:
-                num_ranks = self.num_ranks
-                ranks = [int(inst.daddr) % num_ranks
-                         for inst in instructions]
-            else:
-                ranks = [rank_of_instruction(inst)
-                         for inst in instructions]
-        # Decode every instruction's (bank group, bank, row) once for the
-        # whole packet -- the rank config is shared by all rank-NMPs, so
-        # one vectorised pass replaces a per-instruction decode in each
-        # rank's scheduler.
-        config = self.rank_config
-        blocks = np.fromiter((inst.daddr for inst in instructions),
-                             dtype=np.int64,
-                             count=count) // config.columns_per_row
-        bank_groups = (blocks % config.num_bank_groups).tolist()
-        blocks //= config.num_bank_groups
-        bank_indices = (blocks % config.banks_per_group).tolist()
-        rows = (blocks // config.banks_per_group).tolist()
-        # Group instructions per rank, preserving order; arrival times model
-        # the shared C/A interface delivering instructions sequentially.
-        rate = self.instruction_rate_per_cycle
-        num_ranks = self.num_ranks
-        per_rank = {}
-        for position, instruction in enumerate(instructions):
-            rank = ranks[position]
-            if not 0 <= rank < num_ranks:
-                raise ValueError("invalid rank %d for instruction" % rank)
-            entry = per_rank.get(rank)
-            if entry is None:
-                entry = ([], [], ([], [], []))
-                per_rank[rank] = entry
-            entry[0].append(instruction)
-            entry[1].append(start_cycle + int(position / rate))
-            decoded = entry[2]
-            decoded[0].append(bank_groups[position])
-            decoded[1].append(bank_indices[position])
-            decoded[2].append(rows[position])
-        per_rank_last = []
-        for rank_index in sorted(per_rank):
-            rank_instructions, arrivals, decoded = per_rank[rank_index]
-            rank_nmp = self.rank_nmp(rank_index)
-            per_rank_last.append(rank_nmp.execute_instructions(
-                rank_instructions, arrival_cycles=arrivals,
-                decoded=decoded))
-        if not per_rank_last:
+        if count == 0:
             return start_cycle
-        slowest = max(per_rank_last)
-        # Adder-tree + DIMM.Sum transfer overhead (constant per packet, one
-        # transfer cycle per pooled output).
-        dimm_nmp = self.processing_units[0].dimm_nmp
-        return (slowest + dimm_nmp.adder_tree_latency_cycles
-                + dimm_nmp.sum_transfer_cycles * packet.num_poolings)
+        daddrs = packet.packed_arrays().daddrs
+        if ranks is None and rank_of_instruction is not None:
+            ranks = [rank_of_instruction(inst) for inst in instructions]
+        ranks = self._checked_ranks(daddrs, ranks)
+        # Decode every instruction's (bank group, bank, row) once for the
+        # whole packet (the rank config is shared by all rank-NMPs), then
+        # split the packet per rank with one stable sort: each rank keeps
+        # its instructions in packet order, so their arrival cycles (the
+        # shared C/A interface delivering instructions sequentially) stay
+        # non-decreasing.
+        order, bounds = _rank_segments(ranks)
+        bank_groups, bank_indices, rows = _kernels.pack_decoded(
+            self.rank_config, daddrs[order])
+        bank_groups = bank_groups.tolist()
+        bank_indices = bank_indices.tolist()
+        rows = rows.tolist()
+        arrivals = self._arrivals(start_cycle, count)[order].tolist()
+        positions = order.tolist()
+        issue_ranks = ranks[order].tolist()
+        per_rank_last = []
+        for begin, end in zip(bounds, bounds[1:]):
+            rank_nmp = self.rank_nmp(issue_ranks[begin])
+            per_rank_last.append(rank_nmp.execute_instructions(
+                [instructions[i] for i in positions[begin:end]],
+                arrival_cycles=arrivals[begin:end],
+                decoded=(bank_groups[begin:end], bank_indices[begin:end],
+                         rows[begin:end])))
+        return self._completion(max(per_rank_last), packet.num_poolings)
 
     @property
     def supports_packed(self):
@@ -174,32 +165,51 @@ class RecNMPChannel:
         already in issue order; ``ranks`` the aligned per-instruction
         channel-rank indices (int64 array; defaults to Daddr modulo rank
         count like the object path).  The per-rank split, C/A arrival
-        times and completion math are vectorised but cycle-identical.
+        times and completion math are shared with the object path.
         """
         count = len(packed)
         if count == 0:
             return start_cycle
+        ranks = self._checked_ranks(packed.daddrs, ranks)
+        order, bounds = _rank_segments(ranks)
+        packed = packed.take(order)
+        arrivals = self._arrivals(start_cycle, count)[order]
+        issue_ranks = ranks[order].tolist()
+        per_rank_last = []
+        for begin, end in zip(bounds, bounds[1:]):
+            rank_nmp = self.rank_nmp(issue_ranks[begin])
+            per_rank_last.append(rank_nmp.execute_packed(
+                packed.take(slice(begin, end)), arrivals[begin:end]))
+        return self._completion(max(per_rank_last), packed.num_poolings)
+
+    def _checked_ranks(self, daddrs, ranks):
+        """Per-instruction rank indices as a validated int64 array
+        (default: Daddr modulo rank count)."""
         num_ranks = self.num_ranks
         if ranks is None:
-            ranks = packed.daddrs % num_ranks
-        else:
-            ranks = np.asarray(ranks, dtype=np.int64)
+            return daddrs % num_ranks
+        ranks = np.asarray(ranks, dtype=np.int64)
         if int(ranks.min()) < 0 or int(ranks.max()) >= num_ranks:
             bad = ranks[(ranks < 0) | (ranks >= num_ranks)][0]
             raise ValueError("invalid rank %d for instruction" % int(bad))
-        arrivals = start_cycle + (np.arange(count)
-                                  / self.instruction_rate_per_cycle) \
-            .astype(np.int64)
-        per_rank_last = []
-        for rank_index in np.unique(ranks).tolist():
-            idx = np.nonzero(ranks == rank_index)[0]
-            rank_nmp = self.rank_nmp(rank_index)
-            per_rank_last.append(rank_nmp.execute_packed(
-                packed.take(idx), arrivals[idx]))
-        slowest = max(per_rank_last)
+        return ranks
+
+    def _arrivals(self, start_cycle, count):
+        """C/A arrival cycle of each packet position: the shared
+        interface delivers ``instruction_rate_per_cycle`` per cycle."""
+        offsets = self._arrival_offsets
+        if len(offsets) < count:
+            offsets = (np.arange(max(count, 2 * len(offsets)))
+                       / self.instruction_rate_per_cycle).astype(np.int64)
+            self._arrival_offsets = offsets
+        return start_cycle + offsets[:count]
+
+    def _completion(self, slowest, num_poolings):
+        """Adder-tree + DIMM.Sum transfer overhead (constant per packet,
+        one transfer cycle per pooled output) after the slowest rank."""
         dimm_nmp = self.processing_units[0].dimm_nmp
         return (slowest + dimm_nmp.adder_tree_latency_cycles
-                + dimm_nmp.sum_transfer_cycles * packed.num_poolings)
+                + dimm_nmp.sum_transfer_cycles * num_poolings)
 
     def rank_load(self, packet, rank_of_instruction=None):
         """Per-rank instruction counts for one packet."""

@@ -18,14 +18,17 @@ with memory reads, so it only contributes when it is the bottleneck.
 """
 
 from dataclasses import dataclass, field
+from operator import le
 
 import numpy as np
 
 from repro.cache.rank_cache import RankCache
 from repro.core import kernels as _kernels
-from repro.dram.commands import CommandType
 from repro.dram.rank import Rank
 from repro.dram.timing import DDR4_2400
+
+#: A start estimate above any reachable cycle.
+_NEVER = 1 << 62
 
 
 @dataclass
@@ -92,7 +95,19 @@ class RankNMPStats:
 
 
 class RankNMP:
-    """Cycle-approximate model of one rank-NMP module."""
+    """Cycle-approximate model of one rank-NMP module.
+
+    The bank and rank timing state lives in a :class:`~repro.dram.rank.
+    Rank` (``dram_rank``), but the DDR timing arithmetic of the object
+    path -- the PRE/ACT/RD issue sequence and the window scheduler's
+    start estimates -- is inlined in :meth:`execute_instructions`, one
+    fused loop per call.  Routing the issue sequence and the estimates
+    through ``Rank.ready_cycle`` (one method call per DRAM instruction
+    plus one per estimate) made that loop about a fifth slower, so the
+    inline copy stays; ``Rank.ready_cycle`` remains the single source
+    for the DDR4 baseline controller.  The numba flat kernel
+    (:mod:`repro.core.kernels`) keeps its own copy.
+    """
 
     def __init__(self, config=None, rank_index=0):
         self.config = config or RankNMPConfig()
@@ -120,6 +135,7 @@ class RankNMP:
         self._kernel = _kernels.make_rank_kernel(self)
         self._kernel_min_instructions = \
             _kernels.packed_dispatch_min_instructions()
+        self._timing_params = self.config.timing.kernel_params()
 
     # ------------------------------------------------------------------ #
     # Address decoding                                                   #
@@ -150,217 +166,24 @@ class RankNMP:
         packet once instead of re-decoding per instruction per scheduler
         scan.
         """
-        config = self.config
-        blocks = np.asarray(daddrs, dtype=np.int64) // config.columns_per_row
-        bank_groups = blocks % config.num_bank_groups
-        blocks = blocks // config.num_bank_groups
-        banks = blocks % config.banks_per_group
-        rows = blocks // config.banks_per_group
-        return bank_groups.tolist(), banks.tolist(), rows.tolist()
+        return tuple(part.tolist() for part in _kernels.pack_decoded(
+            self.config, np.asarray(daddrs, dtype=np.int64)))
 
     # ------------------------------------------------------------------ #
     # Execution                                                          #
     # ------------------------------------------------------------------ #
-    def _dram_read(self, instruction, earliest_cycle, decoded=None):
-        """Issue the DDR commands of one instruction.
-
-        Returns ``(data_done, next_slot)`` where ``data_done`` is the cycle
-        the last data beat arrives and ``next_slot`` the command-bus cycle
-        from which the *next* instruction's commands may start.  Commands of
-        consecutive instructions are pipelined: the next instruction only
-        waits for the local C/A slots this one consumed, not for its
-        tRP/tRCD/tCL latency chain, while the bank and rank state machines
-        keep every later command legal (tCCD, tRRD, tFAW, data bus).
-
-        The bank/rank state machine of :class:`~repro.dram.rank.Rank` /
-        :class:`~repro.dram.bank.Bank` is inlined here (this is the
-        simulator's hottest function): every command is issued at its
-        ``earliest_issue_cycle``, so the legality re-checks of the generic
-        ``issue`` path are redundant by construction.  ``decoded`` carries
-        a precomputed ``(bank_group, bank_index, row)`` from
-        :meth:`decode_bank_rows`.
-        """
-        if decoded is None:
-            bank_group, bank_index, row, _ = self.decode_bank_row(
-                instruction.daddr)
-        else:
-            bank_group, bank_index, row = decoded
-        rank = self.dram_rank
-        timing = rank.timing
-        bank = rank.banks[bank_group * rank.banks_per_group + bank_index]
-        current = self.current_cycle
-        start = current if current > earliest_cycle else earliest_cycle
-        cycle = start
-        commands_issued = 0
-        first_issue = None
-        # The rank command decoder replays the compressed DDR cmd field; a
-        # conflicting open row forces PRE+ACT even if the tag omitted them
-        # (the host-side tags are hints based on consecutive addresses).
-        if bank.open_row != row:
-            if bank.open_row is not None:
-                ready = bank.next_pre
-                if ready > cycle:
-                    cycle = ready
-                bank.open_row = None
-                bank.precharges += 1
-                value = cycle + timing.tRP
-                if value > bank.next_act:
-                    bank.next_act = value
-                commands_issued = 1
-                first_issue = cycle
-            ready = bank.next_act
-            history = rank._act_history
-            if len(history) >= 4:
-                faw = history[-4] + timing.tFAW
-                if faw > ready:
-                    ready = faw
-            last_act = rank._last_act_cycle
-            if last_act is not None:
-                rrd = last_act + (timing.tRRD_L
-                                  if bank_group == rank._last_act_bank_group
-                                  else timing.tRRD_S)
-                if rrd > ready:
-                    ready = rrd
-            if ready > cycle:
-                cycle = ready
-            bank.open_row = row
-            bank.activations += 1
-            value = cycle + timing.tRCD
-            if value > bank.next_read:
-                bank.next_read = value
-            value = cycle + timing.tRAS
-            if value > bank.next_pre:
-                bank.next_pre = value
-            value = cycle + timing.tRC
-            if value > bank.next_act:
-                bank.next_act = value
-            history.append(cycle)
-            while len(history) > 4:
-                history.popleft()
-            rank._last_act_cycle = cycle
-            rank._last_act_bank_group = bank_group
-            commands_issued += 1
-            if first_issue is None:
-                first_issue = cycle
-            self.stats.activations += 1
-        finish = cycle
-        bursts = instruction.vsize
-        if bursts < 1:
-            bursts = 1
-        tCL = timing.tCL
-        tCCD_L = timing.tCCD_L
-        tCCD_S = timing.tCCD_S
-        tBL = timing.tBL
-        tRTP = timing.tRTP
-        for _ in range(bursts):
-            ready = bank.next_read
-            last_col = rank._last_col_cycle
-            if last_col is not None:
-                ccd = last_col + (tCCD_L
-                                  if bank_group == rank._last_col_bank_group
-                                  else tCCD_S)
-                if ccd > ready:
-                    ready = ccd
-            bus = rank.next_data_bus_free - tCL
-            if bus > ready:
-                ready = bus
-            if ready > cycle:
-                cycle = ready
-            bank.reads += 1
-            finish = cycle + tCL + tBL
-            value = cycle + tCCD_L
-            if value > bank.next_read:
-                bank.next_read = value
-            value = cycle + tRTP
-            if value > bank.next_pre:
-                bank.next_pre = value
-            rank._last_col_cycle = cycle
-            rank._last_col_bank_group = bank_group
-            if finish > rank.next_data_bus_free:
-                rank.next_data_bus_free = finish
-            commands_issued += 1
-            if first_issue is None:
-                first_issue = cycle
-            self.stats.dram_reads += 1
-        self.stats.bytes_from_dram += instruction.vector_bytes
-        next_slot = (start if start > first_issue else first_issue) \
-            + commands_issued
-        return finish, next_slot
-
     def execute_instruction(self, instruction, arrival_cycle=0,
                             decoded=None):
         """Execute one NMP-Inst; returns the cycle its Psum update completes.
 
-        ``decoded`` optionally carries the precomputed ``(bank_group,
-        bank_index, row)`` of the instruction (see :meth:`decode_bank_rows`).
+        The one-instruction case of :meth:`execute_instructions`;
+        ``decoded`` optionally carries its ``(bank_group, bank_index,
+        row)``.
         """
-        if self._kernel is not None and self._kernel_min_instructions <= 1:
-            # One-element kernel call: the completion necessarily exceeds
-            # the entry current_cycle, so the return value is identical
-            # to the legacy path below.
-            return self._kernel.execute_objects(
-                (instruction,), (arrival_cycle,), 1,
-                decoded=None if decoded is None else
-                ((decoded[0],), (decoded[1],), (decoded[2],)))
-        self.stats.instructions += 1
-        start = max(self.current_cycle, arrival_cycle)
-        if self.cache is not None:
-            hit = self.cache.lookup(instruction.daddr,
-                                    locality_hint=instruction.locality_bit)
-            if hit:
-                self.stats.cache_hits += 1
-                self.stats.bytes_from_cache += instruction.vector_bytes
-                data_ready = start + self.config.cache_latency_cycles
-                next_free = start + self.config.cache_latency_cycles
-            else:
-                if instruction.locality_bit:
-                    self.stats.cache_misses += 1
-                else:
-                    self.stats.cache_bypasses += 1
-                data_ready, next_free = self._dram_read(instruction, start,
-                                                        decoded=decoded)
-        else:
-            data_ready, next_free = self._dram_read(instruction, start,
-                                                    decoded=decoded)
-        # Datapath: weighted multiply (if any) then accumulate.  The pipeline
-        # overlaps with the next memory access, so only the final add depth
-        # shows up in the completion time of this instruction.
-        compute = self.config.adder_latency_cycles
-        if instruction.weight != 1.0:
-            compute += self.config.multiplier_latency_cycles
-        completion = data_ready + compute
-        self._psum_counts[instruction.psum_tag] = \
-            self._psum_counts.get(instruction.psum_tag, 0) + 1
-        busy_delta = max(0, next_free - start)
-        self.stats.busy_cycles += busy_delta
-        # Memory accesses are pipelined: the next instruction's DDR commands
-        # can be scheduled as soon as this one's last command slot is past
-        # (bank/rank/data-bus legality is enforced by the DRAM rank model).
-        self.current_cycle = next_free
-        return completion
-
-    def _estimated_start(self, instruction, arrival_cycle):
-        """Earliest cycle the first command of an instruction could issue.
-
-        Used by the windowed scheduler to avoid head-of-line blocking: an
-        instruction whose bank is still serving tRAS/tRC from an earlier
-        access can be deferred in favour of one whose bank is ready.
-        """
-        start = max(self.current_cycle, arrival_cycle)
-        if self.cache is not None and instruction.locality_bit and \
-                self.cache.contains(instruction.daddr):
-            return start
-        bank_group, bank_index, row, _ = self.decode_bank_row(
-            instruction.daddr)
-        bank = self.dram_rank.bank(bank_group, bank_index)
-        if bank.is_row_hit(row):
-            command = CommandType.RD
-        elif bank.is_row_closed():
-            command = CommandType.ACT
-        else:
-            command = CommandType.PRE
-        return self.dram_rank.earliest_issue_cycle(
-            command, bank_group, bank_index, start)
+        return self.execute_instructions(
+            (instruction,), (arrival_cycle,),
+            decoded=None if decoded is None else
+            ((decoded[0],), (decoded[1],), (decoded[2],)))
 
     def execute_instructions(self, instructions, arrival_cycles=None,
                              reorder_window=16, decoded=None):
@@ -369,30 +192,37 @@ class RankNMP:
         Instructions are issued FR-FCFS-style within a small reorder window
         (the host-side memory controller performs this reordering inside a
         packet per the paper): among the ``reorder_window`` oldest pending
-        instructions, the one whose bank can accept a command earliest goes
-        first.  Correctness is unaffected because each pooling accumulates
-        into its own PsumTag register.
+        instructions, the one whose first command -- RD on an open-row hit,
+        ACT on a closed bank, PRE on a row conflict; none for a resident
+        vector it would allocate -- can issue earliest goes first (ties keep
+        the oldest).  Correctness is unaffected because each pooling
+        accumulates into its own PsumTag register.
 
-        The selection is cycle-identical to evaluating
-        :meth:`_estimated_start` for every window member on every
-        iteration, but avoids that quadratic re-computation: per-bank
-        command/readiness is read once per member from the live bank state,
-        the rank-level ACT/RD components are memoised per bank group and
-        invalidated lazily (only an instruction that touched DRAM can
-        change them), and members whose earliest possible start already
-        matches or exceeds the best estimate are skipped outright.
-        ``decoded`` optionally carries ``(bank_groups, banks, rows)`` lists
-        from :meth:`decode_bank_rows`, so callers that already decoded the
-        packet (the channel does) don't pay for it twice.
+        One fused loop: each pick executes inline (RankCache lookup, the
+        PRE/ACT/RD issue sequence at each command's earliest legal cycle,
+        datapath latency).  Commands of consecutive instructions are
+        pipelined -- the next instruction only waits for the C/A slots this
+        one used -- and the datapath overlaps the next access, so only its
+        depth shows in the completion.  Rank-level timing state and the
+        statistics live in locals, written back once per call; the
+        estimates' rank-level floors (tRRD/tFAW, tCCD/data bus) depend on
+        the bank group only through equality with the last ACT/column
+        group, so four values are recomputed only after a DRAM access.
+        The scan stops once no later member can beat the best estimate: at
+        an estimate equal to ``current_cycle`` and, when
+        ``arrival_cycles`` is non-decreasing (as in both callers,
+        :meth:`RecNMPChannel.execute_packet` and
+        :meth:`~repro.core.dimm_nmp.DimmNMP.execute_packet`), at the first
+        member arriving no earlier than it.  ``decoded`` optionally carries
+        ``(bank_groups, banks, rows)`` lists from :meth:`decode_bank_rows`.
         """
         count = len(instructions)
         if arrival_cycles is None:
             arrival_cycles = [0] * count
         if len(arrival_cycles) != count:
             raise ValueError("arrival_cycles must match instructions")
-        last_completion = self.current_cycle
         if not count:
-            return last_completion
+            return self.current_cycle
         if self._kernel is not None and \
                 count >= self._kernel_min_instructions:
             return self._kernel.execute_objects(
@@ -402,102 +232,253 @@ class RankNMP:
             decoded = self.decode_bank_rows(
                 [inst.daddr for inst in instructions])
         bank_groups, bank_indices, rows = decoded
-        banks_per_group = self.config.banks_per_group
+        config = self.config
         rank = self.dram_rank
         banks = rank.banks
-        timing = rank.timing
+        per_group = config.banks_per_group
         cache = self.cache
-        entries = cache._entries if cache is not None else None
-        daddrs = [inst.daddr for inst in instructions]
-        localities = [inst.locality_bit for inst in instructions]
-        flats = [bank_groups[i] * banks_per_group + bank_indices[i]
-                 for i in range(count)]
-        tCL = timing.tCL
-        tCCD_L = timing.tCCD_L
-        tCCD_S = timing.tCCD_S
-        tRRD_L = timing.tRRD_L
-        tRRD_S = timing.tRRD_S
-        tFAW = timing.tFAW
-        window_size = reorder_window if reorder_window > 1 else 1
-        window = list(range(window_size if window_size < count else count))
+        if cache is None:
+            entries = {}
+            probes = [-1] * count
+        else:
+            entries = cache._entries
+            capacity = cache.num_entries
+            move_to_end = entries.move_to_end
+            popitem = entries.popitem
+            # Only a resident vector the instruction would allocate
+            # counts as a hit in the start estimate.
+            probes = [inst.daddr if inst.locality_bit else -1
+                      for inst in instructions]
+        members = list(zip(
+            arrival_cycles, probes,
+            [banks[group * per_group + index]
+             for group, index in zip(bank_groups, bank_indices)],
+            bank_groups, rows, range(count)))
+        monotone = all(map(le, arrival_cycles, arrival_cycles[1:]))
+        (tRP, tRCD, tCL, tBL, tCCD_S, tCCD_L, tRRD_S, tRRD_L, tFAW, tRAS,
+         tRC, tRTP) = self._timing_params
+        # After its first burst, every further burst of one vector (same
+        # bank group, bus just freed) issues exactly this much later.
+        burst_step = tCCD_L if tCCD_L > tBL else tBL
+        adder = config.adder_latency_cycles
+        weighted_compute = adder + config.multiplier_latency_cycles
+        cache_latency = config.cache_latency_cycles
+        history = rank._act_history
+        last_act = rank._last_act_cycle
+        last_act_group = rank._last_act_bank_group
+        last_col = rank._last_col_cycle
+        last_col_group = rank._last_col_bank_group
+        bus_free = rank.next_data_bus_free
+        current = self.current_cycle
+        last_completion = current
+        hits = misses = bypasses = evictions = 0
+        dram_reads = activations = busy = bytes_dram = bytes_cache = 0
+        psums = self._psum_counts
+        psum_of = psums.get
+        stale = True
+        window = members[:reorder_window if reorder_window > 1 else 1]
         next_index = len(window)
-        # Rank-level earliest-issue components, memoised per bank group and
-        # cleared whenever an executed instruction touched DRAM (cache hits
-        # leave both the rank and every bank untouched).
-        act_part = {}
-        rd_part = {}
-        execute = self.execute_instruction
         while window:
-            current = self.current_cycle
+            best = _NEVER
             best_pos = 0
-            best_estimate = None
-            for pos, index in enumerate(window):
-                arrival = arrival_cycles[index]
+            for pos, (arrival, probe, bank, group, row, _) in \
+                    enumerate(window):
                 start = arrival if arrival > current else current
-                if best_estimate is not None and start >= best_estimate:
-                    # estimate >= start, so this member cannot win (ties
-                    # keep the earliest window position, as before).
+                if start >= best:
+                    # estimate >= start: this member cannot win (ties
+                    # keep the oldest), nor can any later one when
+                    # arrivals are non-decreasing.
+                    if monotone:
+                        break
                     continue
-                if entries is not None and localities[index] and \
-                        daddrs[index] in entries:
+                if probe in entries:
                     estimate = start
                 else:
-                    bank = banks[flats[index]]
+                    if stale:
+                        floor = bus_free - tCL
+                        if last_col is None:
+                            rd_same = rd_other = floor
+                        else:
+                            rd_same = last_col + tCCD_L
+                            rd_other = last_col + tCCD_S
+                            if floor > rd_same:
+                                rd_same = floor
+                            if floor > rd_other:
+                                rd_other = floor
+                        floor = history[-4] + tFAW if len(history) >= 4 \
+                            else 0
+                        if last_act is None:
+                            act_same = act_other = floor
+                        else:
+                            act_same = last_act + tRRD_L
+                            act_other = last_act + tRRD_S
+                            if floor > act_same:
+                                act_same = floor
+                            if floor > act_other:
+                                act_other = floor
+                        stale = False
                     open_row = bank.open_row
-                    bank_group = bank_groups[index]
-                    if open_row == rows[index]:
+                    if open_row == row:
                         ready = bank.next_read
-                        part = rd_part.get(bank_group)
-                        if part is None:
-                            part = rank.next_data_bus_free - tCL
-                            last_col = rank._last_col_cycle
-                            if last_col is not None:
-                                ccd = last_col + (
-                                    tCCD_L if bank_group ==
-                                    rank._last_col_bank_group else tCCD_S)
-                                if ccd > part:
-                                    part = ccd
-                            rd_part[bank_group] = part
-                        if part > ready:
-                            ready = part
+                        floor = rd_same if group == last_col_group \
+                            else rd_other
+                        if floor > ready:
+                            ready = floor
                     elif open_row is None:
                         ready = bank.next_act
-                        part = act_part.get(bank_group)
-                        if part is None:
-                            part = 0
-                            history = rank._act_history
-                            if len(history) >= 4:
-                                part = history[-4] + tFAW
-                            last_act = rank._last_act_cycle
-                            if last_act is not None:
-                                rrd = last_act + (
-                                    tRRD_L if bank_group ==
-                                    rank._last_act_bank_group else tRRD_S)
-                                if rrd > part:
-                                    part = rrd
-                            act_part[bank_group] = part
-                        if part > ready:
-                            ready = part
+                        floor = act_same if group == last_act_group \
+                            else act_other
+                        if floor > ready:
+                            ready = floor
                     else:
                         ready = bank.next_pre
                     estimate = start if start > ready else ready
-                if best_estimate is None or estimate < best_estimate:
-                    best_estimate = estimate
+                if estimate < best:
+                    best = estimate
                     best_pos = pos
-            index = window.pop(best_pos)
+                    if estimate <= current:
+                        # Every estimate is >= current_cycle.
+                        break
+            arrival, _, bank, group, row, index = window.pop(best_pos)
             if next_index < count:
-                window.append(next_index)
+                window.append(members[next_index])
                 next_index += 1
-            resident = entries is not None and daddrs[index] in entries
-            completion = execute(
-                instructions[index], arrival_cycle=arrival_cycles[index],
-                decoded=(bank_groups[index], bank_indices[index],
-                         rows[index]))
+            instruction = instructions[index]
+            tag = instruction.psum_tag
+            psums[tag] = psum_of(tag, 0) + 1
+            start = arrival if arrival > current else current
+            daddr = instruction.daddr
+            vector_bytes = instruction.vsize * 64
+            if daddr in entries:
+                move_to_end(daddr)
+                hits += 1
+                bytes_cache += vector_bytes
+                data_ready = next_free = start + cache_latency
+            else:
+                if cache is not None:
+                    if instruction.locality_bit:
+                        misses += 1
+                        if len(entries) >= capacity:
+                            popitem(last=False)
+                            evictions += 1
+                        entries[daddr] = None
+                    else:
+                        bypasses += 1
+                # PRE / ACT / RD issue sequence, each command at its
+                # earliest legal cycle.  The rank command decoder replays
+                # the compressed DDR cmd field; a conflicting open row
+                # forces PRE+ACT even if the tag omitted them (the
+                # host-side tags are hints based on consecutive
+                # addresses).
+                cycle = start
+                first = None
+                commands = instruction.vsize
+                if commands < 1:
+                    commands = 1
+                bursts = commands
+                open_row = bank.open_row
+                if open_row != row:
+                    if open_row is not None:
+                        ready = bank.next_pre
+                        if ready > cycle:
+                            cycle = ready
+                        bank.precharges += 1
+                        value = cycle + tRP
+                        if value > bank.next_act:
+                            bank.next_act = value
+                        first = cycle
+                        commands += 1
+                    ready = bank.next_act
+                    if len(history) >= 4:
+                        value = history[-4] + tFAW
+                        if value > ready:
+                            ready = value
+                    if last_act is not None:
+                        value = last_act + (tRRD_L if group == last_act_group
+                                            else tRRD_S)
+                        if value > ready:
+                            ready = value
+                    if ready > cycle:
+                        cycle = ready
+                    bank.open_row = row
+                    bank.activations += 1
+                    value = cycle + tRCD
+                    if value > bank.next_read:
+                        bank.next_read = value
+                    value = cycle + tRAS
+                    if value > bank.next_pre:
+                        bank.next_pre = value
+                    value = cycle + tRC
+                    if value > bank.next_act:
+                        bank.next_act = value
+                    history.append(cycle)
+                    if len(history) > 4:
+                        history.popleft()
+                    last_act = cycle
+                    last_act_group = group
+                    activations += 1
+                    if first is None:
+                        first = cycle
+                    commands += 1
+                ready = bank.next_read
+                if last_col is not None:
+                    value = last_col + (tCCD_L if group == last_col_group
+                                        else tCCD_S)
+                    if value > ready:
+                        ready = value
+                value = bus_free - tCL
+                if value > ready:
+                    ready = value
+                if ready > cycle:
+                    cycle = ready
+                if first is None:
+                    first = cycle
+                cycle += (bursts - 1) * burst_step
+                data_ready = cycle + tCL + tBL
+                bank.reads += bursts
+                value = cycle + tCCD_L
+                if value > bank.next_read:
+                    bank.next_read = value
+                value = cycle + tRTP
+                if value > bank.next_pre:
+                    bank.next_pre = value
+                last_col = cycle
+                last_col_group = group
+                if data_ready > bus_free:
+                    bus_free = data_ready
+                dram_reads += bursts
+                bytes_dram += vector_bytes
+                next_free = first + commands
+                stale = True
+            completion = data_ready + (adder if instruction.weight == 1.0
+                                       else weighted_compute)
             if completion > last_completion:
                 last_completion = completion
-            if not resident:
-                act_part.clear()
-                rd_part.clear()
+            if next_free > start:
+                busy += next_free - start
+            current = next_free
+        rank._last_act_cycle = last_act
+        rank._last_act_bank_group = last_act_group
+        rank._last_col_cycle = last_col
+        rank._last_col_bank_group = last_col_group
+        rank.next_data_bus_free = bus_free
+        self.current_cycle = current
+        stats = self.stats
+        stats.instructions += count
+        stats.cache_hits += hits
+        stats.cache_misses += misses
+        stats.cache_bypasses += bypasses
+        stats.dram_reads += dram_reads
+        stats.activations += activations
+        stats.busy_cycles += busy
+        stats.bytes_from_dram += bytes_dram
+        stats.bytes_from_cache += bytes_cache
+        if cache is not None:
+            cache_stats = cache.stats
+            cache_stats.hits += hits
+            cache_stats.misses += misses
+            cache_stats.bypasses += bypasses
+            cache_stats.evictions += evictions
         return last_completion
 
     @property

@@ -119,6 +119,10 @@ class ServiceTimeStore:
         self._puts = 0
         self._connection = None
         self._broken = False
+        #: Why the store stopped being used (``"open: <error>"``,
+        #: ``"read: ..."``, ...), or ``None`` while it works -- an
+        #: explicit :meth:`close` leaves it ``None``.
+        self.broken_reason = None
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._connection = sqlite3.connect(
@@ -126,14 +130,20 @@ class ServiceTimeStore:
             self._connection.execute("PRAGMA journal_mode=WAL")
             self._connection.execute("PRAGMA busy_timeout=30000")
             self._ensure_schema()
-        except Exception:  # repro-lint: allow-broad-except-audit (an unusable store degrades to a permanent miss, never a crash)
-            self._broken = True
+        except Exception as error:  # repro-lint: allow-broad-except-audit (an unusable store degrades to a permanent miss, never a crash)
+            self._fail("open", error)
             if self._connection is not None:
                 try:
                     self._connection.close()
                 except Exception:  # repro-lint: allow-broad-except-audit (best-effort close of a connection already known to be broken)
                     pass
                 self._connection = None
+
+    def _fail(self, action, error):
+        """Mark the store broken, keeping the first failure's reason."""
+        self._broken = True
+        if self.broken_reason is None:
+            self.broken_reason = "%s: %s" % (action, error)
 
     # ------------------------------------------------------------------ #
     def _ensure_schema(self):
@@ -172,8 +182,8 @@ class ServiceTimeStore:
                 "AND flavor = ? AND batch = ?",
                 (config_fingerprint, self._flavor(),
                  batch_key_digest(batch_key))).fetchone()
-        except Exception:  # repro-lint: allow-broad-except-audit (a failing read degrades to a miss and marks the store broken)
-            self._broken = True
+        except Exception as error:  # repro-lint: allow-broad-except-audit (a failing read degrades to a miss and marks the store broken)
+            self._fail('read', error)
             row = None
         if row is None:
             self._misses += 1
@@ -198,8 +208,8 @@ class ServiceTimeStore:
             self._connection.executemany(
                 "INSERT OR REPLACE INTO service_times VALUES (?, ?, ?, ?)",
                 rows)
-        except Exception:  # repro-lint: allow-broad-except-audit (a failing write is dropped and marks the store broken; callers never crash a run over the cache)
-            self._broken = True
+        except Exception as error:  # repro-lint: allow-broad-except-audit (a failing write is dropped and marks the store broken; callers never crash a run over the cache)
+            self._fail('write', error)
             return
         self._puts += len(rows)
 
@@ -226,8 +236,8 @@ class ServiceTimeStore:
                 self._connection.execute(
                     "DELETE FROM service_times WHERE config = ?",
                     (config_fingerprint,))
-        except Exception:  # repro-lint: allow-broad-except-audit (a failing invalidate marks the store broken so stale entries can never be served)
-            self._broken = True
+        except Exception as error:  # repro-lint: allow-broad-except-audit (a failing invalidate marks the store broken so stale entries can never be served)
+            self._fail('invalidate', error)
 
     def __len__(self):
         if self._broken:
@@ -235,8 +245,8 @@ class ServiceTimeStore:
         try:
             row = self._connection.execute(
                 "SELECT COUNT(*) FROM service_times").fetchone()
-        except Exception:  # repro-lint: allow-broad-except-audit (a failing count reports an empty store and marks it broken)
-            self._broken = True
+        except Exception as error:  # repro-lint: allow-broad-except-audit (a failing count reports an empty store and marks it broken)
+            self._fail('count', error)
             return 0
         return int(row[0])
 

@@ -145,17 +145,39 @@ class TestServe:
         streamed.pop("service_stats")
         assert streamed == oneshot
 
-    def test_serve_stream_chunk_below_max_batch_exits(self):
-        with pytest.raises(SystemExit, match="--max-batch") as excinfo:
+    def test_serve_stream_chunk_below_max_batch_exits(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(SERVE_ARGS + ["--stream-chunk", "2"])
-        # A positive chunk below --max-batch is a run error, not a usage
-        # error: the message exits with status 1.
-        assert str(excinfo.value.code).startswith("error: --stream-chunk")
+        # A positive chunk below --max-batch is a usage error (exit 2)
+        # with the same message as before.
+        assert excinfo.value.code == 2
+        assert "error: --stream-chunk must be >= --max-batch (8)" in \
+            capsys.readouterr().err
 
     def test_serve_stream_chunk_rejects_load_aware(self):
         with pytest.raises(SystemExit, match="load-aware"):
             main(SERVE_ARGS + ["--stream-chunk", "64", "--shard-policy",
                                "load-aware", "--request-overhead", "40"])
+
+    def test_serve_over_corrupt_store_warns_once(self, tmp_path, capsys):
+        """A garbage store file is served without, with one warning line
+        on stderr instead of a silent permanent miss."""
+        (tmp_path / "service_times.sqlite").write_bytes(b"garbage " * 64)
+        assert main(SERVE_ARGS + ["--service-store-dir", str(tmp_path),
+                                  "--json"]) == 0
+        out, err = capsys.readouterr()
+        store = json.loads(out)["service_stats"]["store"]
+        assert (store["entries"], store["hits"], store["puts"]) == (0, 0, 0)
+        assert store["misses"] > 0
+        warnings = [line for line in err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "not a database" in warnings[0]
+
+    def test_serve_over_healthy_store_does_not_warn(self, tmp_path, capsys):
+        assert main(SERVE_ARGS + ["--service-store-dir", str(tmp_path),
+                                  "--json"]) == 0
+        assert "warning:" not in capsys.readouterr().err
 
     def test_serve_unknown_system_exits(self):
         with pytest.raises(SystemExit):
@@ -241,15 +263,34 @@ class TestParseErrors:
         with pytest.raises(SystemExit, match="--slo-us"):
             main(SERVE_ARGS + ["--admission", "deadline"])
 
-    def test_non_positive_slo_rejected(self):
-        with pytest.raises(SystemExit, match="positive"):
-            main(SERVE_ARGS + ["--slo-us", "-10"])
-        with pytest.raises(SystemExit, match="positive"):
-            main(SERVE_ARGS + ["--slo-us", "0"])
+    def test_non_positive_slo_rejected(self, capsys):
+        for value in ("-10", "0"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(SERVE_ARGS + ["--slo-us", value])
+            assert excinfo.value.code == 2     # argparse usage error
+            assert "error: --slo-us must be positive" in \
+                capsys.readouterr().err
 
-    def test_negative_request_overhead_rejected(self):
-        with pytest.raises(SystemExit, match="non-negative"):
+    def test_negative_request_overhead_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(SERVE_ARGS + ["--request-overhead", "-1"])
+        assert excinfo.value.code == 2         # argparse usage error
+        assert "error: --request-overhead must be non-negative" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        SERVE_ARGS + ["--service-store", "somewhere"],
+        SERVE_ARGS + ["--no-service"],
+        RUN_ARGS + ["--vector", "128"],
+        ["run", "--sys", "host"],
+    ])
+    def test_option_abbreviations_are_usage_errors(self, argv, capsys):
+        """A flag prefix must not silently stand for the full flag
+        (``--service-store`` used to mean ``--service-store-dir``)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--qps", "nan"], ["--qps", "inf"], ["--qps", "-5"], ["--qps", "0"],

@@ -1,7 +1,11 @@
 """Tests for repro.core.memory_controller (the NMP extension)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.instruction import (
     DDR_CMD_ACT,
     DDR_CMD_PRE,
@@ -115,6 +119,45 @@ class TestReordering:
         assert total > 0
 
 
+@st.composite
+def reorder_cases(draw):
+    """(rows, ranks, reorder_window, num_ranks) of 0-200 instructions:
+    rows from a small pool (frequent row matches), all one row, or all
+    distinct rows."""
+    num_ranks = draw(st.integers(1, 8))
+    count = draw(st.integers(0, 200))
+    ranks = draw(st.lists(st.integers(0, num_ranks - 1), min_size=count,
+                          max_size=count))
+    shape = draw(st.sampled_from(("pool", "same-row", "distinct-rows")))
+    if shape == "same-row":
+        rows = [draw(st.integers(0, 1 << 20))] * count
+    elif shape == "distinct-rows":
+        rows = draw(st.permutations(range(count)))
+    else:
+        rows = draw(st.lists(st.integers(0, 6), min_size=count,
+                             max_size=count))
+    return rows, ranks, draw(st.integers(1, 32)), num_ranks
+
+
+class TestReorderEquivalence:
+    """The one-pass FR-FCFS reorder must produce exactly the permutation
+    of the windowed rescan it replaced (kept as the flat kernel)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(reorder_cases())
+    def test_matches_flat_kernel_rescan(self, case):
+        rows, ranks, window, num_ranks = case
+        expected = kernels._reorder_window_flat_py(
+            np.array(rows, dtype=np.int64), np.array(ranks, dtype=np.int64),
+            window, num_ranks).tolist()
+        controller = NMPMemoryController(num_ranks=num_ranks,
+                                         reorder_window=window)
+        assert controller._reorder_indices(rows, ranks) == expected
+        assert controller._reorder_indices(
+            np.array(rows, dtype=np.int64),
+            np.array(ranks, dtype=np.int64)) == expected
+
+
 class TestPerRankStats:
     """Regression: the once-per-packet rank computation must produce the
     same per-rank instruction statistics as re-deriving the rank per
@@ -144,9 +187,9 @@ class TestPerRankStats:
         vectorised = NMPMemoryController(num_ranks=4,
                                          ranks_of_addresses=ranks_of)
         packet = _packet(0, 0, 0, count=16)
-        instructions = list(packet.instructions)
-        assert vectorised._packet_ranks(instructions) == \
-            scalar._packet_ranks(instructions)
+        daddrs = packet.packed_arrays().daddrs
+        assert vectorised._packet_ranks(daddrs).tolist() == \
+            scalar._packet_ranks(daddrs).tolist()
         assert vectorised._reorder_within_packet(packet) == \
             scalar._reorder_within_packet(packet)
 

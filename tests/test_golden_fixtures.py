@@ -76,6 +76,13 @@ FULL_CMD = DDR_CMD_ACT | DDR_CMD_RD | DDR_CMD_PRE
 RANK_STREAM_LENGTH = 300
 RANK_CASES = [(seed, use_cache) for seed in range(4)
               for use_cache in (True, False)]
+#: Streams whose arrival cycles are *not* non-decreasing: shuffled
+#: arrivals and descending runs.  They pin the window scan's path that
+#: must skip a late member and keep scanning instead of stopping.
+RANK_UNORDERED_CASES = [(kind, seed, use_cache)
+                        for kind in ("shuffled", "descending-runs")
+                        for seed in (4, 5)
+                        for use_cache in (True, False)]
 
 FIFO_CASES = [(seed, servers, 400) for seed in range(4)
               for servers in (1, 2, 8)] \
@@ -110,9 +117,14 @@ CONTROLLER_CASES = list(itertools.product(DDR4_TRACES, (1, 4, 8)))
 # --------------------------------------------------------------------- #
 # Seeded inputs                                                         #
 # --------------------------------------------------------------------- #
-def _rank_stream(seed):
+def _rank_stream(seed, arrival_order="sorted"):
     """Instructions and arrival cycles exercising hits, misses, bypasses
-    and row conflicts."""
+    and row conflicts.
+
+    ``arrival_order`` reorders the (non-decreasing) arrival cycles:
+    ``"shuffled"`` permutes them over a wider span, and
+    ``"descending-runs"`` reverses every run of 12 so arrivals fall
+    inside each run."""
     rng = np.random.default_rng(seed)
     instructions = []
     for _ in range(RANK_STREAM_LENGTH):
@@ -122,9 +134,13 @@ def _rank_stream(seed):
             weight=float(rng.choice([1.0, 0.5])),
             locality_bit=bool(rng.integers(0, 2)),
             psum_tag=int(rng.integers(0, 8))))
-    arrivals = np.cumsum(
-        rng.integers(0, 3, size=RANK_STREAM_LENGTH)).tolist()
-    return instructions, arrivals
+    arrivals = np.cumsum(rng.integers(0, 3, size=RANK_STREAM_LENGTH))
+    if arrival_order == "shuffled":
+        arrivals = rng.permutation(arrivals * 8)
+    elif arrival_order == "descending-runs":
+        arrivals = np.concatenate([run[::-1] for run in np.array_split(
+            arrivals * 4, RANK_STREAM_LENGTH // 12)])
+    return instructions, arrivals.tolist()
 
 
 def _queue_inputs(seed, size):
@@ -180,8 +196,8 @@ def _ddr4_trace(kind, length, stride, seed=0):
 # --------------------------------------------------------------------- #
 # Replay (ambient flavor)                                               #
 # --------------------------------------------------------------------- #
-def _replay_rank(seed, use_cache):
-    instructions, arrivals = _rank_stream(seed)
+def _replay_rank(seed, use_cache, arrival_order="sorted"):
+    instructions, arrivals = _rank_stream(seed, arrival_order)
     rank = RankNMP(RankNMPConfig(use_cache=use_cache,
                                  cache_capacity_bytes=4096))
     last = rank.execute_instructions(instructions, arrival_cycles=arrivals,
@@ -322,6 +338,12 @@ def test_rank_nmp_end_state(seed, use_cache):
     assert _replay_rank(seed, use_cache) == expected
 
 
+@pytest.mark.parametrize("kind,seed,use_cache", RANK_UNORDERED_CASES)
+def test_rank_nmp_end_state_unordered_arrivals(kind, seed, use_cache):
+    expected = _load("rank_nmp.json")[_case_key(kind, seed, use_cache)]
+    assert _replay_rank(seed, use_cache, kind) == expected
+
+
 @pytest.mark.parametrize("seed,servers,size", FIFO_CASES)
 def test_fifo_queue_times(seed, servers, size):
     expected = _load("event_queues.json")[
@@ -375,9 +397,12 @@ def _write(name, cases):
 
 def regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
-    _write("rank_nmp.json", {
-        _case_key(seed, use_cache): _replay_rank(seed, use_cache)
-        for seed, use_cache in RANK_CASES})
+    ranks = {_case_key(seed, use_cache): _replay_rank(seed, use_cache)
+             for seed, use_cache in RANK_CASES}
+    ranks.update({_case_key(kind, seed, use_cache):
+                  _replay_rank(seed, use_cache, kind)
+                  for kind, seed, use_cache in RANK_UNORDERED_CASES})
+    _write("rank_nmp.json", ranks)
     queues = {_case_key("fifo", seed, servers, size):
               _replay_fifo(seed, servers, size)
               for seed, servers, size in FIFO_CASES}

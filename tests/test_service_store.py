@@ -127,6 +127,23 @@ class TestServiceTimeStore:
         assert "broken" in store.describe()
         store.close()
 
+    def test_broken_reason_records_the_first_failure(self, tmp_path):
+        path = tmp_path / "service_times.sqlite"
+        path.write_bytes(b"not a database, just garbage bytes " * 8)
+        store = ServiceTimeStore(path)
+        assert store.broken_reason.startswith("open: ")
+        assert "not a database" in store.broken_reason
+        assert store.get(CONFIG, KEY) is None
+        store.close()
+        assert store.broken_reason.startswith("open: ")
+
+    def test_healthy_and_closed_stores_have_no_broken_reason(self, tmp_path):
+        store = ServiceTimeStore(tmp_path / "store.sqlite")
+        store.put(CONFIG, KEY, 1.0)
+        assert store.broken_reason is None
+        store.close()
+        assert store.broken_reason is None
+
     def test_closed_store_is_a_miss(self, tmp_path):
         store = ServiceTimeStore(tmp_path / "store.sqlite")
         store.put(CONFIG, KEY, 1.0)

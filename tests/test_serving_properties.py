@@ -16,11 +16,18 @@ hand-picked cases:
 * a full :meth:`ShardedServingCluster.simulate` over random small
   configurations: every query's latency covers its batching delay plus
   its batch's service time, the measured utilisation never exceeds 1,
-  tracing never changes the report, and object input serves the same
-  report as the same queries passed as columns.
+  tracing never changes the report, object input serves the same
+  report as the same queries passed as columns, the dispatch-queue
+  depth never goes negative and peaks at the reported
+  ``max_queue_depth``, and an exact-model rerun over the service-time
+  store the first run filled is byte-identical with no exact
+  simulation.
 """
 
 import dataclasses
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,3 +312,51 @@ class TestSimulateProperties:
             assert traced["extras"]["measured_utilization"] <= 1.0 + 1e-9
         assert ("slo" in traced["extras"]) == (slo_us is not None)
 
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(simulate_cases())
+    def test_queue_depth_is_non_negative_and_peaks_at_report(
+            self, sim_clusters, case):
+        queries, frontends, engine, max_queries, max_delay_us, slo_us = \
+            case
+        tracer = Tracer()
+        report = sim_clusters[frontends].simulate(
+            queries, frontend=BatchingFrontend(max_queries=max_queries,
+                                               max_delay_us=max_delay_us),
+            engine=engine, slo_policy=slo_us, trace=tracer)
+        _, depth = tracer.queue_depth_series()
+        assert (depth >= 0).all()
+        if engine != "analytic":
+            assert int(depth.max()) == report.extras["max_queue_depth"]
+
+    @settings(max_examples=12, deadline=None)
+    @given(simulate_cases())
+    def test_warm_store_rerun_is_identical_with_no_exact_sims(self, case):
+        """An exact-model run repeated over the store the first run
+        filled serves a byte-identical report from stored service times
+        alone."""
+        queries, frontends, engine, max_queries, max_delay_us, slo_us = \
+            case
+        frontend = BatchingFrontend(max_queries=max_queries,
+                                    max_delay_us=max_delay_us)
+        reports = []
+        with tempfile.TemporaryDirectory() as store_dir:
+            for _ in range(2):
+                with ShardedServingCluster(
+                        num_nodes=2, node_system="recnmp-base",
+                        num_frontends=frontends, table_rows=1000,
+                        vector_size_bytes=64,
+                        service_store=Path(store_dir) / "store.sqlite") \
+                        as cluster:
+                    report = cluster.simulate(
+                        queries, frontend=frontend, engine=engine,
+                        service_model="exact", slo_policy=slo_us)
+                    reports.append((json.dumps(report.as_dict(),
+                                               sort_keys=True),
+                                    cluster.service_stats()))
+        (cold, cold_stats), (warm, warm_stats) = reports
+        assert warm == cold
+        assert cold_stats["exact_simulations"] > 0
+        assert warm_stats["exact_simulations"] == 0
+        assert warm_stats["store"]["hits"] > 0
