@@ -339,10 +339,13 @@ def _format_tier_stats(stats):
         stats["entries"], stats["hits"], stats["misses"], rate)
 
 
-def _serve_range_error(args):
-    """The usage error of a ``serve`` flag value out of its range (one
-    that depends on another flag or on a sign argparse's ``type=`` does
-    not check), or ``None``."""
+def _serve_usage_error(args):
+    """The usage error of a ``serve`` flag that needs another flag, or
+    of a value out of its range (one that depends on another flag or on
+    a sign argparse's ``type=`` does not check), or ``None``."""
+    if args.admission == "deadline" and args.slo_us is None:
+        return ("--admission deadline sheds by deadline slack; pass "
+                "--slo-us to assign one")
     if args.slo_us is not None and args.slo_us <= 0:
         return "--slo-us must be positive"
     if args.request_overhead is not None and args.request_overhead < 0:
@@ -353,9 +356,6 @@ def _serve_range_error(args):
 
 
 def cmd_serve(args):
-    if args.admission == "deadline" and args.slo_us is None:
-        raise SystemExit("error: --admission deadline sheds by deadline "
-                         "slack; pass --slo-us to assign one")
     if args.stream_chunk is not None:
         if args.shard_policy == "load-aware" or args.replicas > 1:
             raise SystemExit("error: --stream-chunk streams queries in "
@@ -789,7 +789,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "serve":
-        problem = _serve_range_error(args)
+        problem = _serve_usage_error(args)
         if problem is not None:
             parser.error(problem)
     if args.command == "list-systems":

@@ -104,8 +104,14 @@ class RankNMP:
     fused loop per call.  Routing the issue sequence and the estimates
     through ``Rank.ready_cycle`` (one method call per DRAM instruction
     plus one per estimate) made that loop about a fifth slower, so the
-    inline copy stays; ``Rank.ready_cycle`` remains the single source
-    for the DDR4 baseline controller.  The numba flat kernel
+    inline copy stays: the estimates use local copies of the rank's
+    timing floors (``act_same``/``act_other``, ``rd_same``/``rd_other``:
+    the values :meth:`Rank.timing_floors` would give), refreshed after
+    each DRAM access, and the loop writes the rank-level state back once
+    per call through :meth:`Rank.set_timing_state`, which drops the
+    rank's cached floors.  :meth:`Rank.timing_floors` remains the single
+    source of the rank-level arithmetic in :mod:`repro.dram`, used by
+    the DDR4 baseline controller.  The numba flat kernel
     (:mod:`repro.core.kernels`) keeps its own copy.
     """
 
@@ -457,11 +463,8 @@ class RankNMP:
             if next_free > start:
                 busy += next_free - start
             current = next_free
-        rank._last_act_cycle = last_act
-        rank._last_act_bank_group = last_act_group
-        rank._last_col_cycle = last_col
-        rank._last_col_bank_group = last_col_group
-        rank.next_data_bus_free = bus_free
+        rank.set_timing_state(last_act, last_act_group, last_col,
+                              last_col_group, bus_free)
         self.current_cycle = current
         stats = self.stats
         stats.instructions += count

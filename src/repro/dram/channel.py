@@ -58,40 +58,34 @@ class Channel:
         """True if the command/address bus is free at ``cycle``."""
         return cycle >= self.next_ca_free
 
-    def next_command(self, rank, bank, row):
-        """Next command a read of ``row`` needs, and when it may issue.
+    def data_floors(self):
+        """The shared data bus's lower bounds on a column command.
 
-        ``rank`` is one of this channel's ranks and ``bank`` one of its
-        banks.  The command is RD on a row hit, ACT on a closed bank and
-        PRE on a row conflict.  The cycle is the earliest one at which
-        the bank, rank and shared-bus constraints all allow it; it may
-        lie in the past.
+        Returns ``(last_rank, same, other)``: a burst (starting tCL after
+        the command) must not overlap the last one on the bus, so a
+        column command to rank ``last_rank`` (the rank of the last burst,
+        ``None`` before the first) may not issue before ``same``, and one
+        to another rank, which also pays the rank-to-rank switch, not
+        before ``other``.
         """
-        open_row = bank.open_row
-        if open_row == row:
-            command_type = CommandType.RD
-        elif open_row is None:
-            command_type = CommandType.ACT
-        else:
-            command_type = CommandType.PRE
-        return command_type, self._ready_cycle(command_type, rank, bank)
+        same = self.next_data_free - self.timing.tCL
+        last_rank = self._last_data_rank
+        if last_rank is None:
+            return None, same, same
+        return last_rank, same, same + self.rank_to_rank_penalty
 
     def _ready_cycle(self, command_type, rank, bank):
         """Earliest legal issue cycle of a command to ``bank`` of
-        ``rank``, including the shared C/A and data bus."""
+        ``rank``: its bank and rank constraints
+        (:meth:`Rank.ready_cycle`) plus the shared C/A and data bus."""
         ready = rank.ready_cycle(command_type, bank)
         if self.next_ca_free > ready:
             ready = self.next_ca_free
         if command_type is CommandType.RD or command_type is CommandType.WR:
-            # The data burst (starting tCL after the column command) must not
-            # overlap another rank's burst on the shared data bus.
-            burst_start_floor = self.next_data_free
-            if (self._last_data_rank is not None
-                    and self._last_data_rank != rank.rank_index):
-                burst_start_floor += self.rank_to_rank_penalty
-            burst_start_floor -= self.timing.tCL
-            if burst_start_floor > ready:
-                ready = burst_start_floor
+            last_rank, same, other = self.data_floors()
+            floor = same if rank.rank_index == last_rank else other
+            if floor > ready:
+                ready = floor
         return ready
 
     def earliest_issue_cycle(self, command_type, rank_index, bank_group,

@@ -8,6 +8,17 @@ broken by age.  An open-page policy keeps rows open after a read.  The
 clock jumps over cycles at which no queued request can issue (see
 :meth:`MemoryController.tick`), so results are cycle-exact at a cost that
 follows the commands issued, not the cycles elapsed.
+
+The DDR timing arithmetic lives in :mod:`repro.dram`, once per level:
+the bank keeps its own ready cycles (``Bank.next_act``/``next_read``/
+``next_pre``); the rank folds tFAW, tRRD_S/L, tCCD_S/L and its data bus
+into per-bank-group *timing floors* (:meth:`Rank.timing_floors`), cached
+until a writer of rank state drops them -- :meth:`Rank.issue`,
+:meth:`Rank.set_kernel_scalars` and :meth:`Rank.set_timing_state` (the
+rank-NMP write-back); the channel adds the shared C/A bus and the
+data-bus floors (:meth:`Channel.data_floors`).  The selection pass reads
+one bank field, one cached rank floor and, for RD, one channel data floor
+per queued request, with no per-entry method call.
 """
 
 from collections import deque
@@ -50,17 +61,15 @@ class _PendingRequest:
     """Book-keeping wrapper around a queued memory request.
 
     The request's address is decoded once, at enqueue: the wrapper keeps
-    the channel-wide rank index, the :class:`~repro.dram.rank.Rank` and
-    :class:`~repro.dram.bank.Bank` objects and the row it reads.
+    the channel-wide rank index, the :class:`~repro.dram.bank.Bank`
+    object and the row it reads.
     """
 
-    __slots__ = ("request", "rank_index", "rank", "bank", "row",
-                 "outcome_recorded")
+    __slots__ = ("request", "rank_index", "bank", "row", "outcome_recorded")
 
-    def __init__(self, request, rank_index, rank, bank, row):
+    def __init__(self, request, rank_index, bank, row):
         self.request = request
         self.rank_index = rank_index
-        self.rank = rank
         self.bank = bank
         self.row = row
         self.outcome_recorded = False
@@ -113,11 +122,10 @@ class MemoryController:
                 "the RecNMP study only exercises read traffic")
         channel = self.channel
         rank_index = channel.global_rank_index(address.dimm, address.rank)
-        rank = channel.rank(rank_index)
-        bank = rank.bank(address.bank_group, address.bank)
+        bank = channel.rank(rank_index).bank(address.bank_group, address.bank)
         request.arrival_cycle = self.cycle
         self._waiting.append(
-            _PendingRequest(request, rank_index, rank, bank, address.row))
+            _PendingRequest(request, rank_index, bank, address.row))
         self._admit_waiting()
 
     def _admit_waiting(self):
@@ -135,42 +143,69 @@ class MemoryController:
     def _select_request(self):
         """FR-FCFS selection in one pass over the queue.
 
-        Each entry's next command and its earliest issue cycle come from
-        :meth:`Channel.next_command`.  Returns ``(pending, command,
-        None)`` for the oldest entry that is a ready row hit, else the
-        oldest ready entry.  When no entry can issue at ``self.cycle``
-        it returns ``(None, None, wake)`` with ``wake`` the earliest
-        cycle any entry can issue (``None`` for an empty queue).
+        An entry's next command is RD on a row hit, ACT on a closed bank
+        and PRE on a row conflict.  It may issue once its bank's ready
+        cycle for that command, the rank's cached timing floor for the
+        bank's group (:meth:`Rank.timing_floors`) and, for RD, the
+        channel's data-bus floor for the rank (:meth:`Channel.
+        data_floors`) have all passed, and the C/A bus is free.  Returns
+        ``(pending, command, None)`` for the oldest entry that is a
+        ready row hit, else the oldest ready entry.  When no entry can
+        issue at ``self.cycle`` it returns ``(None, None, wake)`` with
+        ``wake`` the earliest cycle any entry can issue (``None`` for an
+        empty queue).
         """
-        cycle = self.cycle
-        next_command = self.channel.next_command
+        channel = self.channel
+        # Nothing issues while the C/A bus is busy (the wake below is
+        # then raised to its free cycle); ready cycles are never negative.
+        ca_free = channel.next_ca_free
+        cycle = self.cycle if ca_free <= self.cycle else -1
+        floors = [rank.timing_floors() for rank in channel.ranks]
+        data_rank, data_same, data_other = channel.data_floors()
         first = None
         first_command = None
         wake = None
         for pending in self._queue:
-            if first is not None:
+            bank = pending.bank
+            open_row = bank.open_row
+            if open_row == pending.row:
+                ready = bank.next_read
+                floor = floors[pending.rank_index][1][bank.bank_group]
+                if floor > ready:
+                    ready = floor
+                floor = data_same if pending.rank_index == data_rank \
+                    else data_other
+                if floor > ready:
+                    ready = floor
+                if ready <= cycle:
+                    # Queue order is arrival order, so the first ready
+                    # hit is the oldest ready hit.
+                    return pending, CommandType.RD, None
+            elif first is not None:
                 # A ready entry is already chosen; only a ready row hit
                 # can displace it.
-                if pending.bank.open_row != pending.row:
-                    continue
-                command, ready = next_command(pending.rank, pending.bank,
-                                              pending.row)
-                if ready <= cycle:
-                    return pending, command, None
                 continue
-            command, ready = next_command(pending.rank, pending.bank,
-                                          pending.row)
-            if ready <= cycle:
-                if command is CommandType.RD:
-                    # Queue order is arrival order, so the first ready hit
-                    # is the oldest ready hit.
-                    return pending, command, None
-                first = pending
-                first_command = command
-            elif wake is None or ready < wake:
+            elif open_row is None:
+                ready = bank.next_act
+                floor = floors[pending.rank_index][0][bank.bank_group]
+                if floor > ready:
+                    ready = floor
+                if ready <= cycle:
+                    first = pending
+                    first_command = CommandType.ACT
+                    continue
+            else:
+                ready = bank.next_pre
+                if ready <= cycle:
+                    first = pending
+                    first_command = CommandType.PRE
+                    continue
+            if wake is None or ready < wake:
                 wake = ready
         if first is not None:
             return first, first_command, None
+        if wake is not None and ca_free > wake:
+            wake = ca_free
         return None, None, wake
 
     # ------------------------------------------------------------------ #

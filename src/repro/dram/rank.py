@@ -6,6 +6,12 @@ The rank enforces the constraints that span banks:
 * tFAW -- at most four ACTs within any tFAW window,
 * tCCD_S / tCCD_L -- column command spacing,
 * a single shared data bus (one burst at a time per rank towards the channel).
+
+None of them depends on which bank asks, only on whether the bank shares
+the bank group of the last ACT or column command, so the rank folds them
+into cached per-bank-group *timing floors* (see
+:meth:`Rank.timing_floors`); a command's earliest issue cycle is its
+bank's ready cycle raised to the floor of the bank's group.
 """
 
 from collections import deque
@@ -16,7 +22,15 @@ from repro.dram.timing import DDR4Timing
 
 
 class Rank:
-    """One rank of a DIMM: ``num_bank_groups * banks_per_group`` banks."""
+    """One rank of a DIMM: ``num_bank_groups * banks_per_group`` banks.
+
+    All rank-level DDR timing arithmetic (tFAW, tRRD, tCCD and the
+    rank's data bus) lives in :meth:`timing_floors`, which caches its
+    result.  Every writer of rank-level state drops the cache:
+    :meth:`issue` (ACT and RD), :meth:`set_kernel_scalars` (the flat
+    kernels' write-back) and :meth:`set_timing_state` (the inline loop
+    of :meth:`repro.core.rank_nmp.RankNMP.execute_instructions`).
+    """
 
     def __init__(self, timing, num_bank_groups=4, banks_per_group=4,
                  rank_index=0):
@@ -40,6 +54,7 @@ class Rank:
         self._last_col_cycle = None
         self._last_col_bank_group = None
         self.next_data_bus_free = 0
+        self._floors = None              # timing_floors() cache
 
     # ------------------------------------------------------------------ #
     def bank(self, bank_group, bank_index):
@@ -53,46 +68,67 @@ class Rank:
     # ------------------------------------------------------------------ #
     # Rank-level constraints                                             #
     # ------------------------------------------------------------------ #
+    def timing_floors(self):
+        """The rank-level lower bounds on a command's issue cycle.
+
+        Returns ``(act, col)``, two lists indexed by bank group.  An ACT
+        to a bank of group ``g`` may not issue before ``act[g]``: tRRD_L
+        after the last ACT when that ACT was to group ``g``, tRRD_S when
+        it was to another group, and no sooner than tFAW after the
+        fourth-last ACT.  A column command to group ``g`` may not issue
+        before ``col[g]``: tCCD_L or tCCD_S after the last column
+        command (same or other group), and not before the rank's data
+        bus is free when its burst starts, tCL after the command.  The
+        floors may lie in the past; they are cached until the next write
+        of rank-level state, and the lists returned are that cache, so
+        callers only read them.
+        """
+        floors = self._floors
+        if floors is not None:
+            return floors
+        timing = self.timing
+        history = self._act_history
+        floor = history[-4] + timing.tFAW if len(history) >= 4 else 0
+        last = self._last_act_cycle
+        if last is None:
+            act = [floor] * self.num_bank_groups
+        else:
+            act = [max(last + timing.tRRD_S, floor)] * self.num_bank_groups
+            act[self._last_act_bank_group] = max(last + timing.tRRD_L, floor)
+        floor = self.next_data_bus_free - timing.tCL
+        last = self._last_col_cycle
+        if last is None:
+            col = [floor] * self.num_bank_groups
+        else:
+            col = [max(last + timing.tCCD_S, floor)] * self.num_bank_groups
+            col[self._last_col_bank_group] = max(last + timing.tCCD_L, floor)
+        floors = self._floors = (act, col)
+        return floors
+
     def ready_cycle(self, command_type, bank):
         """Earliest cycle a command to ``bank`` (one of this rank's banks)
         may issue under the bank and rank constraints; it may lie in the
         past.
 
-        * ACT: the bank's tRC/tRP, tRRD_S/tRRD_L since the last ACT and
-          at most four ACTs within any tFAW window;
-        * RD/WR: the bank's tRCD/tCCD_L, tCCD_S/tCCD_L since the last
-          column command, and the rank's data bus free when the burst
-          starts (tCL after the command);
+        * ACT: the bank's tRC/tRP, raised to the ACT floor of its bank
+          group (:meth:`timing_floors`);
+        * RD/WR: the bank's tRCD/tCCD_L, raised to the column floor of
+          its bank group;
         * PRE: the bank's tRAS/tRTP.
         """
-        timing = self.timing
+        floors = self.timing_floors()
         if command_type is CommandType.ACT:
             ready = bank.next_act
-            history = self._act_history
-            if len(history) >= 4 and history[-4] + timing.tFAW > ready:
-                ready = history[-4] + timing.tFAW
-            if self._last_act_cycle is not None:
-                if bank.bank_group == self._last_act_bank_group:
-                    rrd = self._last_act_cycle + timing.tRRD_L
-                else:
-                    rrd = self._last_act_cycle + timing.tRRD_S
-                if rrd > ready:
-                    ready = rrd
-            return ready
-        if command_type is CommandType.RD or command_type is CommandType.WR:
+            floor = floors[0][bank.bank_group]
+        elif command_type is CommandType.RD or \
+                command_type is CommandType.WR:
             ready = bank.next_read
-            if self._last_col_cycle is not None:
-                if bank.bank_group == self._last_col_bank_group:
-                    ccd = self._last_col_cycle + timing.tCCD_L
-                else:
-                    ccd = self._last_col_cycle + timing.tCCD_S
-                if ccd > ready:
-                    ready = ccd
-            data = self.next_data_bus_free - timing.tCL
-            return data if data > ready else ready
-        if command_type is CommandType.PRE:
+            floor = floors[1][bank.bank_group]
+        elif command_type is CommandType.PRE:
             return bank.next_pre
-        raise ValueError("unsupported command %r" % (command_type,))
+        else:
+            raise ValueError("unsupported command %r" % (command_type,))
+        return floor if floor > ready else ready
 
     def earliest_issue_cycle(self, command_type, bank_group, bank_index,
                              current_cycle):
@@ -125,12 +161,14 @@ class Rank:
                 self._act_history.popleft()
             self._last_act_cycle = cycle
             self._last_act_bank_group = bank_group
+            self._floors = None
             return None
         if command_type is CommandType.RD:
             data_done = bank.issue_read(row, cycle)
             self._last_col_cycle = cycle
             self._last_col_bank_group = bank_group
             self.next_data_bus_free = max(self.next_data_bus_free, data_done)
+            self._floors = None
             return data_done
         if command_type is CommandType.PRE:
             bank.issue_precharge(cycle)
@@ -185,6 +223,20 @@ class Rank:
         value = int(rs[8])
         self._last_col_bank_group = None if value < 0 else value
         self.next_data_bus_free = int(rs[9])
+        self._floors = None
+
+    def set_timing_state(self, last_act_cycle, last_act_bank_group,
+                         last_col_cycle, last_col_bank_group,
+                         next_data_bus_free):
+        """Write back rank-level state advanced outside :meth:`issue`
+        (the ACT history deque is updated in place by the caller) and
+        drop the cached floors."""
+        self._last_act_cycle = last_act_cycle
+        self._last_act_bank_group = last_act_bank_group
+        self._last_col_cycle = last_col_cycle
+        self._last_col_bank_group = last_col_bank_group
+        self.next_data_bus_free = next_data_bus_free
+        self._floors = None
 
     # ------------------------------------------------------------------ #
     def stats(self):

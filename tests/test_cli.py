@@ -259,9 +259,12 @@ class TestReport:
 
 
 class TestParseErrors:
-    def test_deadline_admission_requires_slo(self):
-        with pytest.raises(SystemExit, match="--slo-us"):
+    def test_deadline_admission_requires_slo(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(SERVE_ARGS + ["--admission", "deadline"])
+        assert excinfo.value.code == 2         # argparse usage error
+        assert "error: --admission deadline sheds by deadline slack; " \
+            "pass --slo-us to assign one" in capsys.readouterr().err
 
     def test_non_positive_slo_rejected(self, capsys):
         for value in ("-10", "0"):

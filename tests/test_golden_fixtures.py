@@ -17,7 +17,10 @@ a fixed set of seeded inputs:
   (:meth:`DramSystem.run_trace` over channels x DIMMs x ranks x queue
   depth x outstanding cap x request size x trace shape, plus bare
   :meth:`MemoryController.run_until_drained` runs with more requests
-  than queue slots).
+  than queue slots), plus cases that stress the rank timing floors:
+  ACT storms over distinct banks of one rank (tFAW / tRRD bound) and
+  128 B bursts across 4 DIMMs x 2 ranks (rank-to-rank data-bus
+  switching), each at several outstanding caps.
 
 The replay runs under the *ambient* kernel flavor (whatever
 ``REPRO_DISABLE_KERNELS`` and the numba probe selected at import), so
@@ -48,6 +51,7 @@ from repro.core.instruction import (
     NMPInstruction,
 )
 from repro.core.rank_nmp import RankNMP, RankNMPConfig
+from repro.dram.address_mapping import SkylakeAddressMapping
 from repro.dram.commands import MemoryRequest
 from repro.dram.controller import MemoryController
 from repro.dram.system import DramSystem, DramSystemConfig
@@ -112,6 +116,17 @@ DDR4_QUEUES = list(itertools.product((1, 4, 32), (None, 1, 8, 32)))
 #: (trace, queue depth) of the bare-controller drains: 48 requests
 #: enqueued up front, so most of them wait for a queue slot.
 CONTROLLER_CASES = list(itertools.product(DDR4_TRACES, (1, 4, 8)))
+#: Traces that stress the rank timing floors, each run at every
+#: outstanding cap of ``FLOOR_OUTSTANDING``: on a single rank, ACT storms
+#: over the four banks of one bank group (tRRD_L, then tRC) and over all
+#: 16 banks, bank groups interleaved (tRRD_S + tFAW); on 4 DIMMs x 2
+#: ranks of one channel, random 128 B bursts (rank-to-rank data-bus
+#: switching).
+FLOOR_TRACES = ("act-same-group", "act-all-groups", "rank-switch")
+FLOOR_OUTSTANDING = (1, 4, 32)
+FLOOR_CASES = list(itertools.product(FLOOR_TRACES, FLOOR_OUTSTANDING))
+SINGLE_RANK = DramSystemConfig(num_channels=1, dimms_per_channel=1,
+                               ranks_per_dimm=1)
 
 
 # --------------------------------------------------------------------- #
@@ -191,6 +206,25 @@ def _ddr4_trace(kind, length, stride, seed=0):
                     for offset in range(3)])
     return (hot[rng.integers(0, hot.size, size=length)]
             + 64 * rng.integers(0, 64, size=length)).tolist()
+
+
+def _act_storm_trace(banks, rounds):
+    """64 B reads of one single-rank channel that visit ``banks`` (a
+    list of ``(bank group, bank)``) round-robin, a new row on every
+    visit: every read after the first round is a row conflict, so the
+    ACTs run back to back at the tRRD / tFAW / tRC limit."""
+    mapping = SkylakeAddressMapping(SINGLE_RANK.geometry())
+    row_bytes = mapping.geometry.row_size_bytes
+    # One row-size step moves to the next (bank group, bank) slot, so 16
+    # steps cover every bank of one row exactly once.
+    by_bank_row = {}
+    for step in range(16 * rounds):
+        address = step * row_bytes
+        decoded = mapping.map(address)
+        by_bank_row[(decoded.bank_group, decoded.bank, decoded.row)] = \
+            address
+    return [by_bank_row[(group, bank, row)]
+            for row in range(rounds) for group, bank in banks]
 
 
 # --------------------------------------------------------------------- #
@@ -321,6 +355,27 @@ def _replay_controller(kind, queue_depth):
     return stats
 
 
+def _replay_floors(kind, outstanding):
+    """One :meth:`DramSystem.run_trace` of a rank-floor trace."""
+    config, request_bytes = SINGLE_RANK, 64
+    if kind == "act-same-group":
+        addresses = _act_storm_trace([(1, bank) for bank in range(4)], 12)
+    elif kind == "act-all-groups":
+        addresses = _act_storm_trace(
+            [(group, bank) for bank in range(4) for group in range(4)], 3)
+    else:
+        config = DramSystemConfig(num_channels=1, dimms_per_channel=4,
+                                  ranks_per_dimm=2)
+        addresses = _ddr4_trace("random", 96, 128, seed=2)
+        request_bytes = 128
+    result = DramSystem(config).run_trace(
+        addresses, request_bytes=request_bytes,
+        outstanding_per_channel=outstanding)
+    return {"cycles": result.cycles,
+            "channels": [_controller_stats(stats)
+                         for stats in result.per_channel_stats]}
+
+
 def _case_key(*parts):
     return "-".join(str(part) for part in parts)
 
@@ -383,6 +438,13 @@ def test_ddr4_controller_drain(kind, queue_depth):
     assert _replay_controller(kind, queue_depth) == expected
 
 
+@pytest.mark.parametrize("kind,outstanding", FLOOR_CASES)
+def test_ddr4_rank_floor_traces(kind, outstanding):
+    expected = _load("ddr4_baseline.json")[_case_key(
+        "floors", kind, outstanding)]
+    assert _replay_floors(kind, outstanding) == expected
+
+
 # --------------------------------------------------------------------- #
 # Regeneration                                                          #
 # --------------------------------------------------------------------- #
@@ -424,6 +486,9 @@ def regenerate():
     ddr4.update({_case_key("controller", kind, queue_depth):
                  _replay_controller(kind, queue_depth)
                  for kind, queue_depth in CONTROLLER_CASES})
+    ddr4.update({_case_key("floors", kind, outstanding):
+                 _replay_floors(kind, outstanding)
+                 for kind, outstanding in FLOOR_CASES})
     _write("ddr4_baseline.json", ddr4)
 
 

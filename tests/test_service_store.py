@@ -144,6 +144,32 @@ class TestServiceTimeStore:
         store.close()
         assert store.broken_reason is None
 
+    def test_two_writers_on_one_file_agree(self, tmp_path):
+        """Two handles on one sqlite file (as two sweep workers open):
+        interleaved single and batched puts of overlapping keys, then
+        both read back the last value written for every key and neither
+        handle is marked broken."""
+        path = tmp_path / "store.sqlite"
+        first = ServiceTimeStore(path)
+        second = ServiceTimeStore(path)
+        keys = [("batch", index) for index in range(12)]
+        expected = {}
+        for step in range(6):
+            # Each round both handles write keys the other also writes.
+            for store, offset in ((first, 0), (second, 3)):
+                value = float(100 * step + offset)
+                span = keys[2 * step:2 * step + 6]
+                store.put(CONFIG, span[0], value)
+                store.put_many(CONFIG, [(key, value) for key in span[1:]])
+                expected.update((key, value) for key in span)
+        for store in (first, second):
+            assert {key: store.get(CONFIG, key) for key in expected} == \
+                expected
+            assert len(store) == len(expected)
+            assert store.broken_reason is None
+        first.close()
+        second.close()
+
     def test_closed_store_is_a_miss(self, tmp_path):
         store = ServiceTimeStore(tmp_path / "store.sqlite")
         store.put(CONFIG, KEY, 1.0)
